@@ -2,20 +2,22 @@
 
 The algebra has basis families L and M indexed by Gamma and Y indexed by the
 shifted coset, each with an integer loop index.  The bracket of two basis
-keys is always zero or a single scalar multiple of another basis key, so the
-structure constants are cached per key pair and every verification sweep
-works off that cache.
+keys is always zero or a single scalar multiple of another basis key.  The
+element path caches these structure constants per key pair; the window
+sweeps (antisymmetry, Jacobi, and the cocycle identity in ``cohomology``)
+share a table of them compiled to exact integers once per window.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .errors import GroupMismatchError, InvalidKeyError
 from .groups import GroupData
-from .scalars import Scalar, ZERO
+from .scalars import Scalar, ZERO, _coeff_str
 
 __all__ = [
     "BasisKey",
@@ -161,13 +163,6 @@ class Element:
         return f"Element({str(self)!r})"
 
 
-def _coeff_str(c: Scalar) -> str:
-    s = str(c)
-    if c.b != 0 and c.a != 0:
-        return f"({s})"
-    return s
-
-
 @dataclass(frozen=True)
 class Window:
     """Finite verification window.
@@ -199,6 +194,7 @@ class LoopAlgebra:
         self._key_cache: dict[tuple, BasisKey] = {}
         self._sc_cache: dict[tuple, tuple | None] = {}
         self._window_cache: dict[Window, list] = {}
+        self._table_cache: dict[Window, _SweepTable] = {}
 
     # -- element constructors ---------------------------------------------------
 
@@ -283,12 +279,6 @@ class LoopAlgebra:
             return None
         return (self.key(kind, k1.gamma + k2.gamma, loop), coeff)
 
-    def bracket_keys(self, k1: BasisKey, k2: BasisKey) -> Element:
-        t = self.structure(k1, k2)
-        if t is None:
-            return self.zero()
-        return self.monomial(t[0], t[1])
-
     def bracket(self, x: Element, y: Element) -> Element:
         if x.group is not self.group or y.group is not self.group:
             raise GroupMismatchError("bracket operands use a different group configuration")
@@ -303,13 +293,6 @@ class LoopAlgebra:
                 prev = acc.get(key)
                 acc[key] = add if prev is None else prev + add
         return Element(self.group, acc)
-
-    def jacobi_defect(self, x: Element, y: Element, z: Element) -> Element:
-        return (
-            self.bracket(x, self.bracket(y, z))
-            + self.bracket(y, self.bracket(z, x))
-            + self.bracket(z, self.bracket(x, y))
-        )
 
     # -- structure maps -------------------------------------------------------------
 
@@ -370,19 +353,113 @@ class LoopAlgebra:
         self._window_cache[window] = keys
         return keys
 
+    def _sweep_table(self, window: Window) -> "_SweepTable":
+        table = self._table_cache.get(window)
+        if table is None:
+            table = self._table_cache[window] = _SweepTable(self, window)
+        return table
+
+
+class _SweepTable:
+    """A window's structure constants as exact scaled integers, for the sweeps.
+
+    Ids ``0..n-1`` are the window keys in ``window_keys`` order.  Each key
+    that a bracket of two window keys reaches gets the next id; these
+    ``width`` ids index the columns.  Keys reached by bracketing a window key
+    with a column key get ids past ``width`` and only appear as outputs.
+
+    ``rows[i][j]`` is None when ``[keys[i], keys[j]]`` is zero, and otherwise
+    ``(out, a, b)`` with ``[keys[i], keys[j]] = (a + b*sqrt(d)) / denom *
+    keys[out]`` for one ``denom`` common to the whole table.  Every entry
+    comes from one ``_structure`` call on the actual pair, loop indices
+    included, so no entry is inferred from another.
+    """
+
+    __slots__ = ("keys", "n", "width", "rows", "d", "reached")
+
+    def __init__(self, alg: LoopAlgebra, window: Window):
+        window_keys = alg.window_keys(window)
+        keys = list(window_keys)
+        ids = {key: i for i, key in enumerate(keys)}
+        structure = alg._structure
+
+        def brackets(k1, others) -> list:
+            row = []
+            for k2 in others:
+                t = structure(k1, k2)
+                if t is not None and t[0] not in ids:
+                    ids[t[0]] = len(keys)
+                    keys.append(t[0])
+                row.append(t)
+            return row
+
+        raw = [brackets(k1, window_keys) for k1 in window_keys]
+        self.reached = sorted({ids[t[0]] for row in raw for t in row if t is not None})
+        self.width = len(keys)
+        columns = keys[len(window_keys):]
+        for k1, row in zip(window_keys, raw):
+            row += brackets(k1, columns)
+
+        self.keys = keys
+        self.n = len(window_keys)
+        self.d = alg.group.field_d
+        coeffs = _scaled_rows([[None if t is None else t[1] for t in row] for row in raw], self.d)
+        self.rows = [
+            [None if t is None else (ids[t[0]], *c) for t, c in zip(row, crow)]
+            for row, crow in zip(raw, coeffs)
+        ]
+
+    def pair_values(self, value) -> list:
+        """``value(keys[i], keys[r])`` for window ids i and reached ids r.
+
+        Entry ``[i][r]`` is None where the value is zero, else the value as an
+        integer pair scaled by one common denominator, like the table entries.
+        ``value`` must return scalars in the algebra's field.
+        """
+        keys = self.keys
+        raw = [[None] * self.width for _ in range(self.n)]
+        for i in range(self.n):
+            k1, row = keys[i], raw[i]
+            for r in self.reached:
+                v = value(k1, keys[r])
+                if v:
+                    row[r] = v
+        return _scaled_rows(raw, self.d)
+
+
+def _scaled_rows(rows: list, d: int) -> list:
+    """Rows of scalars in Q(sqrt d) (or None) as integer pairs ``(a, b)``.
+
+    Every pair is its scalar times one denominator common to all the rows.
+    """
+    denom = 1
+    for row in rows:
+        for c in row:
+            if c is not None:
+                if c.d not in (0, d):
+                    raise ValueError(f"{c} lies outside the algebra's field")
+                denom = math.lcm(denom, c.a.denominator, c.b.denominator)
+
+    def scaled(c: Scalar) -> tuple:
+        return c.a.numerator * (denom // c.a.denominator), c.b.numerator * (denom // c.b.denominator)
+
+    return [[None if c is None else scaled(c) for c in row] for row in rows]
+
 
 def antisymmetry_witnesses(alg: LoopAlgebra, window: Window, limit: int = 10) -> list:
     """Ordered key pairs where [x,y] + [y,x] != 0 (expected: none)."""
-    keys = alg.window_keys(window)
+    table = alg._sweep_table(window)
+    keys, rows, n = table.keys, table.rows, table.n
     bad = []
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i:]:
-            fwd = alg.structure(k1, k2)
-            rev = alg.structure(k2, k1)
+    for i in range(n):
+        row_i = rows[i]
+        for j in range(i, n):
+            fwd = row_i[j]
+            rev = rows[j][i]
             if fwd is None and rev is None:
                 continue
-            if fwd is None or rev is None or fwd[0] != rev[0] or fwd[1] + rev[1]:
-                bad.append((k1, k2))
+            if fwd is None or rev is None or fwd[0] != rev[0] or fwd[1] + rev[1] or fwd[2] + rev[2]:
+                bad.append((keys[i], keys[j]))
                 if len(bad) >= limit:
                     return bad
     return bad
@@ -394,33 +471,33 @@ def jacobi_witnesses(alg: LoopAlgebra, window: Window, limit: int = 10) -> tuple
     By antisymmetry (checked separately) sweeping i <= j <= k covers every
     ordered triple.
     """
-    keys = alg.window_keys(window)
-    structure = alg.structure
-    n = len(keys)
+    table = alg._sweep_table(window)
+    keys, rows, n, d = table.keys, table.rows, table.n, table.d
     bad = []
     count = 0
     for i in range(n):
-        ki = keys[i]
+        row_i = rows[i]
         for j in range(i, n):
-            kj = keys[j]
-            t_ij = structure(ki, kj)
+            row_j = rows[j]
+            t_ij = row_i[j]
             for k in range(j, n):
-                kk = keys[k]
+                row_k = rows[k]
                 count += 1
                 acc: dict = {}
-                for a, bc in ((ki, structure(kj, kk)), (kj, structure(kk, ki)), (kk, t_ij)):
-                    if bc is None:
+                for row, inner in ((row_i, row_j[k]), (row_j, row_k[i]), (row_k, t_ij)):
+                    if inner is None:
                         continue
-                    inner_key, inner_coeff = bc
-                    t = structure(a, inner_key)
+                    mid, a1, b1 = inner
+                    t = row[mid]
                     if t is None:
                         continue
-                    out_key, out_coeff = t
-                    add = inner_coeff * out_coeff
-                    prev = acc.get(out_key)
-                    acc[out_key] = add if prev is None else prev + add
-                if any(acc.values()):
-                    bad.append((ki, kj, kk))
-                    if len(bad) >= limit:
-                        return bad, count
+                    out, a2, b2 = t
+                    a, b = acc.get(out, (0, 0))
+                    acc[out] = (a + a1 * a2 + b1 * b2 * d, b + a1 * b2 + a2 * b1)
+                for a, b in acc.values():
+                    if a or b:
+                        bad.append((keys[i], keys[j], keys[k]))
+                        if len(bad) >= limit:
+                            return bad, count
+                        break
     return bad, count

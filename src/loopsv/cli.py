@@ -97,13 +97,18 @@ def _load_context(args) -> tuple:
     wdoc = doc.get("window", {}) if isinstance(doc, dict) else {}
     if not isinstance(wdoc, dict):
         raise GroupConfigError("window config must be an object")
-    height = args.gamma_height or wdoc.get("gamma_height") or DEFAULT_WINDOW.gamma_height
-    loops = args.loop_bound or wdoc.get("loop_bound") or DEFAULT_WINDOW.loop_bound
+    height = _first_given(args.gamma_height, wdoc.get("gamma_height"), DEFAULT_WINDOW.gamma_height)
+    loops = _first_given(args.loop_bound, wdoc.get("loop_bound"), DEFAULT_WINDOW.loop_bound)
     try:
         window = Window(int(height), int(loops))
     except (TypeError, ValueError) as exc:
         raise GroupConfigError(f"bad window bounds: {exc}") from exc
     return LoopAlgebra(group), window
+
+
+def _first_given(*values):
+    """The first value that is not None; an explicit 0 counts as given."""
+    return next(v for v in values if v is not None)
 
 
 def _doc_scalar(group: GroupData, value) -> Scalar:
@@ -112,6 +117,31 @@ def _doc_scalar(group: GroupData, value) -> Scalar:
     if isinstance(value, int):
         return Scalar(value)
     raise GroupConfigError(f"expected an exact scalar string, got {value!r}")
+
+
+def _doc_int(value, what: str) -> int:
+    """A JSON integer, or a string holding one (JSON object keys are strings)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise GroupConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _doc_list(value, what: str, length: int | None = None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length} entries"
+        raise GroupConfigError(f"{what} must be {shape}, got {value!r}")
+    return value
+
+
+def _doc_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise GroupConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
 # -- JSON loaders for structured inputs ---------------------------------------------
@@ -136,13 +166,13 @@ def derivation_from_doc(alg: LoopAlgebra, doc: dict) -> Operator:
     if g_doc is None:
         g = GAffine(LaurentPoly.zero(), LaurentPoly.zero())
     elif isinstance(g_doc, dict) and "affine" in g_doc:
-        u, v = g_doc["affine"]
+        u, v = _doc_list(g_doc["affine"], "g.affine", 2)
         g = GAffine(parse_laurent(alg, u), parse_laurent(alg, v))
     elif isinstance(g_doc, dict) and "table" in g_doc:
         g = GTable(
             {
                 group.parse_scalar(k): parse_laurent(alg, v)
-                for k, v in g_doc["table"].items()
+                for k, v in _doc_object(g_doc["table"], "g.table").items()
             }
         )
     else:
@@ -155,16 +185,17 @@ def derivation_from_doc(alg: LoopAlgebra, doc: dict) -> Operator:
 def _shear_from_doc(alg: LoopAlgebra, doc: dict) -> MShearData:
     group = alg.group
     if isinstance(doc, dict) and "diagonals" in doc:
-        diagonals = {
-            int(d): (_doc_scalar(group, u), _doc_scalar(group, v))
-            for d, (u, v) in doc["diagonals"].items()
-        }
+        diagonals = {}
+        for d, pair in _doc_object(doc["diagonals"], "shear diagonals").items():
+            u, v = _doc_list(pair, "a shear diagonal", 2)
+            diagonals[_doc_int(d, "a shear offset")] = (_doc_scalar(group, u), _doc_scalar(group, v))
         return MShearData(diagonals=diagonals)
     if isinstance(doc, dict) and "table" in doc:
-        table = {
-            (group.parse_scalar(g), int(i), int(k)): _doc_scalar(group, v)
-            for g, i, k, v in doc["table"]
-        }
+        table = {}
+        for row in _doc_list(doc["table"], "shear table"):
+            g, i, k, v = _doc_list(row, "a shear table row", 4)
+            index = (_doc_scalar(group, g), _doc_int(i, "a loop index"), _doc_int(k, "a loop index"))
+            table[index] = _doc_scalar(group, v)
         return MShearData(table=table)
     raise GroupConfigError('shear data must be {"diagonals": {...}} or {"table": [...]}')
 
@@ -182,12 +213,14 @@ def word_from_doc(alg: LoopAlgebra, doc) -> Word:
         if tag == "scale":
             gens.append(Scale(_doc_scalar(group, value)))
         elif tag == "loop-shift":
-            gens.append(LoopShift(tuple(int(n) for n in value)))
+            images = _doc_list(value, "loop-shift")
+            gens.append(LoopShift(tuple(_doc_int(n, "a loop-shift entry") for n in images)))
         elif tag == "char-twist":
-            chi = tuple(_doc_scalar(group, v) for v in value["chi"])
+            value = _doc_object(value, "char-twist")
+            chi = tuple(_doc_scalar(group, v) for v in _doc_list(value.get("chi"), "char-twist chi"))
             gens.append(CharTwist(chi, _doc_scalar(group, value.get("r", 1))))
         elif tag == "z-flip":
-            gens.append(ZFlip(int(value)))
+            gens.append(ZFlip(_doc_int(value, "z-flip")))
         elif tag == "loop-scale":
             gens.append(LoopScale(_doc_scalar(group, value)))
         elif tag == "m-shear":
@@ -204,20 +237,21 @@ def cocycle_from_doc(alg: LoopAlgebra, doc: dict):
         raise GroupConfigError("cocycle document must be a JSON object")
     group = alg.group
     terms = []
-    for k, v in doc.get("classes", {}).items():
+    for k, v in _doc_object(doc.get("classes", {}), "classes").items():
         coeff = _doc_scalar(group, v)
         if coeff:
-            terms.append((coeff, make_phi_k(alg, int(k))))
+            terms.append((coeff, make_phi_k(alg, _doc_int(k, "a class degree"))))
     f_doc = doc.get("f")
     if f_doc:
         f = LinearFunctional(
-            {parse_key(alg, key): _doc_scalar(group, v) for key, v in f_doc.items()}
+            {parse_key(alg, key): _doc_scalar(group, v) for key, v in _doc_object(f_doc, "f").items()}
         )
         terms.append((ONE, make_coboundary(alg, f)))
     table_doc = doc.get("table")
     if table_doc is not None:
         entries = {}
-        for k1, k2, v in table_doc:
+        for row in _doc_list(table_doc, "table"):
+            k1, k2, v = _doc_list(row, "a table row", 3)
             pair = (parse_key(alg, k1), parse_key(alg, k2))
             if pair in entries:
                 raise NotACocycleError(f"duplicate table entry for {k1}, {k2}")
@@ -367,8 +401,8 @@ def cmd_cocycle_class(alg, window, args) -> int:
 def cmd_extend(alg, window, args) -> int:
     classes = None
     if args.classes:
-        doc = _read_json(args.classes)
-        classes = {int(k): _doc_scalar(alg.group, v) for k, v in doc.items()}
+        doc = _doc_object(_read_json(args.classes), "classes")
+        classes = {_doc_int(k, "a class degree"): _doc_scalar(alg.group, v) for k, v in doc.items()}
     ext = central_extend(alg, classes)
     x = parse_element(alg, args.x)
     y = parse_element(alg, args.y)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .errors import NotACocycleError, ShapeError
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, _coeff_str
 
 __all__ = [
     "LinearFunctional",
@@ -205,29 +205,34 @@ def cocycle_defect(phi: Cocycle, x: Element, y: Element, z: Element) -> Scalar:
 
 
 def cocycle_witnesses(alg: LoopAlgebra, phi: Cocycle, window: Window, limit: int = 10) -> tuple:
-    """(violating key triples, triple count) for the cyclic identity sweep."""
+    """(violating key triples, triple count) for the cyclic identity sweep.
 
-    def paired(k: BasisKey, other1: BasisKey, other2: BasisKey) -> Scalar:
-        t = alg.structure(other1, other2)
-        if t is None:
-            return ZERO
-        v = phi.value(k, t[0])
-        return t[1] * v if v else ZERO
-
-    keys = alg.window_keys(window)
+    ``phi`` must take its values in the algebra's field.
+    """
+    table = alg._sweep_table(window)
+    keys, rows, n, d = table.keys, table.rows, table.n, table.d
+    values = table.pair_values(phi.value)
     bad = []
     count = 0
-    n = len(keys)
     for i in range(n):
-        k1 = keys[i]
+        row_i, phi_i = rows[i], values[i]
         for j in range(i + 1, n):
-            k2 = keys[j]
+            row_j, phi_j = rows[j], values[j]
+            t_ij = row_i[j]
             for m in range(j + 1, n):
-                k3 = keys[m]
+                row_m = rows[m]
                 count += 1
-                defect = paired(k1, k2, k3) + paired(k2, k3, k1) + paired(k3, k1, k2)
-                if defect:
-                    bad.append((k1, k2, k3))
+                a = b = 0
+                for phi_row, t in ((phi_i, row_j[m]), (phi_j, row_m[i]), (values[m], t_ij)):
+                    if t is None:
+                        continue
+                    v = phi_row[t[0]]
+                    if v is None:
+                        continue
+                    a += t[1] * v[0] + t[2] * v[1] * d
+                    b += t[1] * v[1] + t[2] * v[0]
+                if a or b:
+                    bad.append((keys[i], keys[j], keys[m]))
                     if len(bad) >= limit:
                         return bad, count
     return bad, count
@@ -493,8 +498,6 @@ class ExtendedElement:
         return self.element == other.element and self.central == other.central
 
     def __str__(self):
-        from .algebra import _coeff_str
-
         if self.is_zero():
             return "0"
         out = []

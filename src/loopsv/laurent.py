@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO
+from .scalars import Scalar, ZERO, _coeff_str
 
 __all__ = ["LaurentPoly"]
 
@@ -128,11 +128,3 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({str(self)!r})"
-
-
-def _coeff_str(c: Scalar) -> str:
-    s = str(c)
-    # composite scalars get parentheses so products stay unambiguous
-    if c.b != 0 and c.a != 0:
-        return f"({s})"
-    return s

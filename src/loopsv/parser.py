@@ -32,6 +32,12 @@ _ATOM_START = re.compile(r"[LMY]\(")
 _INTEGER = re.compile(r"^[+-]?\d+$")
 
 
+def _require_text(text) -> str:
+    if not isinstance(text, str):
+        raise ParseError(f"expected a string, got {text!r}")
+    return text
+
+
 def _split_terms(text: str):
     """Signed top-level chunks: yields (sign, chunk, offset).
 
@@ -154,7 +160,7 @@ def _parse_term(alg: LoopAlgebra, chunk: str, offset: int):
 
 def parse_element(alg: LoopAlgebra, text: str) -> Element:
     """Parse the element grammar; inverse of Element.__str__."""
-    s = text.strip()
+    s = _require_text(text).strip()
     if not s:
         raise ParseError("empty element", position=0, expected="term")
     if s == "0":
@@ -170,7 +176,7 @@ def parse_element(alg: LoopAlgebra, text: str) -> Element:
 
 def parse_key(alg: LoopAlgebra, text: str) -> BasisKey:
     """A single bare basis key like ``L(1,0)``; no coefficient, no sum."""
-    return _parse_atom(alg, text.strip(), 0)
+    return _parse_atom(alg, _require_text(text).strip(), 0)
 
 
 def _parse_laurent_term(alg: LoopAlgebra, chunk: str, offset: int):
@@ -224,7 +230,7 @@ def _laurent_pieces(alg: LoopAlgebra, coeff_text: str, power_text: str, offset: 
 
 def parse_laurent(alg: LoopAlgebra, text: str) -> LaurentPoly:
     """Parse the Laurent grammar; inverse of LaurentPoly.__str__."""
-    s = text.strip()
+    s = _require_text(text).strip()
     if not s:
         raise ParseError("empty polynomial", position=0, expected="term")
     if s == "0":

@@ -77,18 +77,24 @@ class Scalar:
         raise ValueError(f"mixed radicands sqrt{self.d} and sqrt{other.d}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Scalar):
+            if not (self.d or other.d):
+                return _rational(self.a + other.a)
+        elif isinstance(other, (int, Fraction)):
             other = Scalar(other)
-        elif not isinstance(other, Scalar):
+        else:
             return NotImplemented
         return Scalar(self.a + other.a, self.b + other.b, self._join(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Scalar):
+            if not (self.d or other.d):
+                return _rational(self.a - other.a)
+        elif isinstance(other, (int, Fraction)):
             other = Scalar(other)
-        elif not isinstance(other, Scalar):
+        else:
             return NotImplemented
         return Scalar(self.a - other.a, self.b - other.b, self._join(other))
 
@@ -101,9 +107,12 @@ class Scalar:
         return Scalar(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Scalar):
+            if not (self.d or other.d):
+                return _rational(self.a * other.a)
+        elif isinstance(other, (int, Fraction)):
             other = Scalar(other)
-        elif not isinstance(other, Scalar):
+        else:
             return NotImplemented
         d = self._join(other)
         return Scalar(
@@ -123,8 +132,10 @@ class Scalar:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        elif not isinstance(other, Scalar):
+            if not other:
+                raise ZeroDivisionError("scalar division by zero")
+            return Scalar(self.a / other, self.b / other, self.d)
+        if not isinstance(other, Scalar):
             return NotImplemented
         return self * other.inverse()
 
@@ -154,15 +165,17 @@ class Scalar:
             other = Scalar(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
+        return self.d == other.d and self.a == other.a and self.b == other.b
+
+    # d == 0 exactly when b == 0, so the radicand answers "is b zero?" cheaply
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.d:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self.d) or self.a != 0
 
     def sign(self) -> int:
         """Sign of the real number this scalar denotes (sqrt d > 0)."""
@@ -262,6 +275,27 @@ class Scalar:
         return self.b == 0
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
+def _rational(a: Fraction) -> Scalar:
+    """``Scalar(a)`` for a Fraction, without re-checking the arguments."""
+    out = object.__new__(Scalar)
+    object.__setattr__(out, "a", a)
+    object.__setattr__(out, "b", _FRACTION_ZERO)
+    object.__setattr__(out, "d", 0)
+    return out
+
+
+def _coeff_str(c: Scalar) -> str:
+    """``str(c)`` for a coefficient in front of a key or a power of t."""
+    s = str(c)
+    # composite scalars get parentheses so products stay unambiguous
+    if c.b != 0 and c.a != 0:
+        return f"({s})"
+    return s
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 HALF = Scalar(Fraction(1, 2))
@@ -284,22 +318,29 @@ def parse_scalar(text: str, field_d: int | None = None) -> Scalar:
         raise ParseError("empty scalar")
     m = _RE_RATIONAL.match(s)
     if m:
-        return Scalar(Fraction(m.group(1)))
+        return Scalar(_parse_fraction(m.group(1), text))
     m = _RE_ROOT.match(s)
     if m:
         sign, coef, d = m.groups()
-        b = Fraction(coef) if coef else Fraction(1)
+        b = _parse_fraction(coef, text) if coef else Fraction(1)
         if sign:
             b = -b
         return _checked_root(Fraction(0), b, int(d), field_d, text)
     m = _RE_MIXED.match(s)
     if m:
         rat, op, coef, d = m.groups()
-        b = Fraction(coef) if coef else Fraction(1)
+        b = _parse_fraction(coef, text) if coef else Fraction(1)
         if op == "-":
             b = -b
-        return _checked_root(Fraction(rat), b, int(d), field_d, text)
+        return _checked_root(_parse_fraction(rat, text), b, int(d), field_d, text)
     raise ParseError(f"cannot parse scalar {text!r}")
+
+
+def _parse_fraction(part: str, text: str) -> Fraction:
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in scalar {text!r}") from None
 
 
 def _checked_root(a, b, d, field_d, text):

@@ -6,11 +6,15 @@ from loopsv import (
     GroupMismatchError,
     GroupData,
     InvalidKeyError,
+    LinearFunctional,
     LoopAlgebra,
     Scalar,
     Window,
     antisymmetry_witnesses,
+    cocycle_witnesses,
     jacobi_witnesses,
+    make_coboundary,
+    make_phi_k,
 )
 
 HALF = Scalar(Fraction(1, 2))
@@ -156,3 +160,146 @@ def test_element_str_composite_coefficient():
     x = a.monomial(a.key("L", 0, 0), Scalar(1, 1, 2))
     assert str(x) == "(1+sqrt2)*L(0,0)"
     assert str(a.monomial(a.key("L", 0, 0), Scalar(0, 1, 2))) == "sqrt2*L(0,0)"
+
+
+# -- the window sweeps against reference loops over alg.structure, under injected faults --
+
+
+class WrongLY(LoopAlgebra):
+    """The [L, Y] coefficient is off by the L index, which may be irrational."""
+
+    def _structure(self, k1, k2):
+        t = super()._structure(k1, k2)
+        if t is not None and k1.kind + k2.kind == "LY":
+            return t[0], t[1] + k1.gamma
+        return t
+
+
+class LoopDependentLL(LoopAlgebra):
+    """The [L, L] coefficient is scaled by 1 + (loop index of the left key)."""
+
+    def _structure(self, k1, k2):
+        t = super()._structure(k1, k2)
+        if t is not None and k1.kind + k2.kind == "LL":
+            return t[0], t[1] * (1 + k1.loop)
+        return t
+
+
+class RescaledBasis(LoopAlgebra):
+    """Every key with a nonzero index scaled by sqrt2.
+
+    This is still a Lie algebra, but its Jacobi identity cancels only
+    because sqrt2 * sqrt2 = 2.
+    """
+
+    def _structure(self, k1, k2):
+        t = super()._structure(k1, k2)
+        if t is None:
+            return None
+
+        def scale(key):
+            return Scalar(0, 1, 2) if key.gamma else Scalar(1)
+
+        return t[0], t[1] * scale(k1) * scale(k2) / scale(t[0])
+
+
+def reference_antisymmetry(alg, window, limit):
+    keys = alg.window_keys(window)
+    bad = []
+    for i, k1 in enumerate(keys):
+        for k2 in keys[i:]:
+            fwd, rev = alg.structure(k1, k2), alg.structure(k2, k1)
+            if fwd is None and rev is None:
+                continue
+            if fwd is None or rev is None or fwd[0] != rev[0] or fwd[1] + rev[1]:
+                bad.append((k1, k2))
+                if len(bad) >= limit:
+                    return bad
+    return bad
+
+
+def reference_jacobi(alg, window, limit):
+    keys = alg.window_keys(window)
+    n = len(keys)
+    bad, count = [], 0
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                ki, kj, kk = keys[i], keys[j], keys[k]
+                count += 1
+                acc = {}
+                for a, (b, c) in ((ki, (kj, kk)), (kj, (kk, ki)), (kk, (ki, kj))):
+                    inner = alg.structure(b, c)
+                    outer = inner and alg.structure(a, inner[0])
+                    if outer:
+                        acc[outer[0]] = acc.get(outer[0], 0) + inner[1] * outer[1]
+                if any(acc.values()):
+                    bad.append((ki, kj, kk))
+                    if len(bad) >= limit:
+                        return bad, count
+    return bad, count
+
+
+def reference_cocycle(alg, phi, window, limit):
+    def paired(a, b, c):
+        t = alg.structure(b, c)
+        return t[1] * phi.value(a, t[0]) if t else 0
+
+    keys = alg.window_keys(window)
+    n = len(keys)
+    bad, count = [], 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                ki, kj, kk = keys[i], keys[j], keys[k]
+                count += 1
+                if paired(ki, kj, kk) + paired(kj, kk, ki) + paired(kk, ki, kj):
+                    bad.append((ki, kj, kk))
+                    if len(bad) >= limit:
+                        return bad, count
+    return bad, count
+
+
+FAULT_WINDOWS = {
+    "Q": (lambda: GroupData.default(), Window(1, 1)),
+    "Q(sqrt2)": (
+        lambda: GroupData.from_config(
+            {"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "sqrt2"], "s": "1/2"}
+        ),
+        Window(1, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("limit", [10**6, 3])
+@pytest.mark.parametrize("field", sorted(FAULT_WINDOWS))
+@pytest.mark.parametrize("faulty", [WrongLY, LoopDependentLL])
+def test_sweeps_match_reference_under_faults(faulty, field, limit):
+    make_group, window = FAULT_WINDOWS[field]
+    alg = faulty(make_group())
+    keys = alg.window_keys(window)
+    coboundary = make_coboundary(
+        alg, LinearFunctional({key: Scalar(m % 3 + 1) for m, key in enumerate(keys)})
+    )
+
+    assert antisymmetry_witnesses(alg, window, limit) == reference_antisymmetry(alg, window, limit)
+    jacobi = jacobi_witnesses(alg, window, limit)
+    assert jacobi == reference_jacobi(alg, window, limit)
+    for phi in (make_phi_k(alg, 0), coboundary):
+        assert cocycle_witnesses(alg, phi, window, limit) == reference_cocycle(alg, phi, window, limit)
+    if field == "Q":
+        # both faults break the Jacobi identity on this window
+        assert len(jacobi[0]) == min(limit, 232 if faulty is LoopDependentLL else 144)
+
+
+def test_sweeps_multiply_square_root_parts_exactly():
+    make_group, window = FAULT_WINDOWS["Q(sqrt2)"]
+    alg = RescaledBasis(make_group())
+    keys = alg.window_keys(window)
+    n = len(keys)
+    coboundary = make_coboundary(
+        alg, LinearFunctional({key: Scalar(m % 3, 1, 2) for m, key in enumerate(keys)})
+    )
+    assert antisymmetry_witnesses(alg, window) == []
+    assert jacobi_witnesses(alg, window) == ([], n * (n + 1) * (n + 2) // 6)
+    assert cocycle_witnesses(alg, coboundary, window) == ([], n * (n - 1) * (n - 2) // 6)

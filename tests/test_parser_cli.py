@@ -273,6 +273,20 @@ class TestCliBehavior:
         n = len(alg.window_keys(Window(1, 1)))
         assert report["payload"]["triples"] == n * (n + 1) * (n + 2) // 6
 
+    def test_explicit_zero_loop_bound_flag(self):
+        proc = run_cli("check", "jacobi", "--gamma-height", "1", "--loop-bound", "0", "--json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["payload"] == {"triples": 120}  # 8 keys
+
+    def test_explicit_zero_loop_bound_in_config(self, tmp_path):
+        config = tmp_path / "zero.json"
+        config.write_text(
+            json.dumps({"gamma_generators": ["1"], "s": "1/2", "window": {"gamma_height": 1, "loop_bound": 0}})
+        )
+        proc = run_cli("check", "jacobi", "--json", "--config", str(config))
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["payload"] == {"triples": 120}
+
     def test_iso_pass(self, configs):
         proc = run_cli("iso", configs["default.json"], configs["scaled.json"])
         assert proc.returncode == 0
@@ -284,7 +298,35 @@ class TestCliBehavior:
         assert proc.stdout == "none\n"
 
 
+def assert_usage_error(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 class TestCliFailures:
+    def test_zero_gamma_height_is_usage(self):
+        assert_usage_error(run_cli("check", "jacobi", "--gamma-height", "0"))
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["bracket", "L(1/0,0)", "L(1,0)"], None),
+            (["check", "automorphism"], [{"char-twist": "3"}]),
+            (["check", "automorphism"], [{"loop-shift": 1}]),
+            (["cocycle-class"], {"classes": {"x": "3"}}),
+            (["decompose-derivation"], {"g": {"affine": ["t"]}}),
+        ],
+    )
+    def test_malformed_input_is_usage(self, tmp_path, argv, doc):
+        if doc is not None:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            argv = [*argv, str(path)]
+        assert_usage_error(run_cli(*argv, "--gamma-height", "1", "--loop-bound", "0"))
+
     def test_semantic_key_error_is_usage(self):
         proc = run_cli("bracket", "L(1/2,0)", "L(1,0)")
         assert proc.returncode == 2
