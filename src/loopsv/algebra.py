@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import GroupMismatchError, InvalidKeyError
 from .groups import GroupData
@@ -296,10 +295,6 @@ class LoopAlgebra:
 
     # -- structure maps -------------------------------------------------------------
 
-    def weight(self, key: BasisKey) -> Scalar:
-        """Eigenvalue of the grading bracket with L(0,0); equals the group index."""
-        return key.gamma
-
     def grade(self, x: Element) -> dict:
         buckets: dict = {}
         for key, coeff in x.terms.items():
@@ -317,30 +312,11 @@ class LoopAlgebra:
 
     # -- windows -------------------------------------------------------------------
 
-    def window_gammas(self, window: Window):
-        """Group indices inside the window, split as (Gamma part, coset part)."""
-        bound = window.coordinate_bound()
-        basis = self.group.t_basis
-        in_gamma, in_coset = [], []
-        for coords in product(range(-bound, bound + 1), repeat=len(basis)):
-            gamma = ZERO
-            for c, b in zip(coords, basis):
-                gamma = gamma + c * b
-            if self.group.in_gamma(gamma):
-                if gamma not in in_gamma:
-                    in_gamma.append(gamma)
-            elif self.group.in_gamma1(gamma):
-                if gamma not in in_coset:
-                    in_coset.append(gamma)
-        in_gamma.sort()
-        in_coset.sort()
-        return in_gamma, in_coset
-
     def window_keys(self, window: Window) -> list:
         cached = self._window_cache.get(window)
         if cached is not None:
             return cached
-        gammas, cosets = self.window_gammas(window)
+        gammas, cosets = self.group.window_gammas(window)
         keys = []
         for kind in ("L", "M"):
             for gamma in gammas:

@@ -12,10 +12,11 @@ and verifies the recomposition key by key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as iproduct
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
-from .derivations import Operator, operators_agree
+from .derivations import Operator, _linear_image, _pair_witnesses, operators_agree
 from .errors import FactorError, ShapeError
 from .groups import GroupData
 from .scalars import Scalar, ZERO, ONE, HALF
@@ -308,35 +309,21 @@ class Inner:
         return Inner(-self.x)
 
 
-class Word:
-    """A finite composition of generators, applied first-to-last."""
+class Word(Operator):
+    """A finite composition of generators, applied first-to-last.
+
+    A word's row is the image of the key under each generator in turn.
+    """
+
+    __slots__ = ("gens",)
 
     def __init__(self, alg: LoopAlgebra, gens):
-        self.alg = alg
-        self.gens = tuple(gens)
-        for gen in self.gens:
+        gens = tuple(gens)
+        for gen in gens:
             gen.validate(alg)
-
-    def apply_key(self, key: BasisKey) -> Element:
-        out = self.alg.monomial(key)
-        for gen in self.gens:
-            out = self._apply_gen(gen, out)
-        return out
-
-    def apply(self, x: Element) -> Element:
-        out = x
-        for gen in self.gens:
-            out = self._apply_gen(gen, out)
-        return out
-
-    def _apply_gen(self, gen, x: Element) -> Element:
-        out = self.alg.zero()
-        for key, coeff in x.terms.items():
-            out = out + coeff * gen.apply_key(self.alg, key)
-        return out
-
-    def to_operator(self) -> Operator:
-        return Operator(self.alg, self.apply_key)
+        # the row holds no reference to the word, so no cycle keeps a word alive
+        super().__init__(alg, partial(_word_row, alg, gens))
+        self.gens = gens
 
     def inverse(self) -> "Word":
         return Word(self.alg, [gen.inverse() for gen in reversed(self.gens)])
@@ -348,38 +335,29 @@ class Word:
         return len(self.gens)
 
 
+def _word_row(alg: LoopAlgebra, gens: tuple, key: BasisKey) -> Element:
+    out = alg.monomial(key)
+    for gen in gens:
+        out = _linear_image(alg, out, partial(gen.apply_key, alg))
+    return out
+
+
 def compose(outer: Word, inner: Word) -> Word:
     """Word acting as outer after inner (matching the usual product order)."""
     return inner.then(outer)
 
 
-def automorphism_defect(alg: LoopAlgebra, sigma, x: Element, y: Element) -> Element:
-    op = sigma.to_operator() if isinstance(sigma, Word) else sigma
-    return op(alg.bracket(x, y)) - alg.bracket(op(x), op(y))
+def automorphism_defect(alg: LoopAlgebra, sigma: Operator, x: Element, y: Element) -> Element:
+    return sigma(alg.bracket(x, y)) - alg.bracket(sigma(x), sigma(y))
 
 
-def automorphism_witnesses(alg: LoopAlgebra, sigma, window: Window, limit: int = 10) -> list:
+def automorphism_witnesses(alg: LoopAlgebra, sigma: Operator, window: Window, limit: int = 10) -> list:
     """Window key pairs where sigma fails to respect the bracket."""
-    op = sigma.to_operator() if isinstance(sigma, Word) else sigma
-    keys = alg.window_keys(window)
-    images = {key: op.apply_key(key) for key in keys}
-    bad = []
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i:]:
-            t = alg.structure(k1, k2)
-            if t is None:
-                lhs = alg.zero()
-            else:
-                img = images.get(t[0])
-                if img is None:
-                    img = images[t[0]] = op.apply_key(t[0])
-                lhs = t[1] * img
-            rhs = alg.bracket(images[k1], images[k2])
-            if lhs != rhs:
-                bad.append((k1, k2))
-                if len(bad) >= limit:
-                    return bad
-    return bad
+
+    def rhs(k1, k2):
+        return alg.bracket(sigma.apply_key(k1), sigma.apply_key(k2))
+
+    return _pair_witnesses(alg, sigma, window, limit, rhs)
 
 
 def tuple_word(alg: LoopAlgebra, a, shifts, chi, r, eps: int, b) -> Word:
@@ -463,14 +441,6 @@ class FactoredAutomorphism:
     e: MShearData
     inner: tuple
 
-    def mu(self, group: GroupData, gamma, i: int) -> Scalar:
-        """Diagonal coefficient b**i * chi(gamma), kept for reporting."""
-        return self.b**i * _hom_scalar(group, self.chi, Scalar.of(gamma))
-
-    def eps_exponent(self, group: GroupData, gamma, i: int) -> int:
-        """Image loop index eps(i) + shift(gamma), kept for reporting."""
-        return self.eps * i + _hom_int(group, self.shifts, Scalar.of(gamma))
-
     def to_word(self, alg: LoopAlgebra) -> Word:
         gens = [MShear(self.e)]
         gens.extend(Inner(x) for x in self.inner)
@@ -504,7 +474,7 @@ def _single_term(elem: Element, kind: str, step: str):
     return picked
 
 
-def factor(alg: LoopAlgebra, sigma, window: Window) -> FactoredAutomorphism:
+def factor(alg: LoopAlgebra, sigma: Operator, window: Window) -> FactoredAutomorphism:
     """Factor an automorphism into the canonical generator word.
 
     Leading parameters are read off the images of a few distinguished keys
@@ -514,21 +484,20 @@ def factor(alg: LoopAlgebra, sigma, window: Window) -> FactoredAutomorphism:
     and one canonical shear.  The factorization is verified on the window.
     """
     group = alg.group
-    op = sigma.to_operator() if isinstance(sigma, Word) else sigma
 
     # leading L coefficient at the origin
     key_l00 = alg.key("L", ZERO, 0)
-    l_key, a = _single_term(op.apply_key(key_l00), "L", "scale")
+    l_key, a = _single_term(sigma.apply_key(key_l00), "L", "scale")
     if l_key.gamma != ZERO or l_key.loop != 0:
         raise FactorError("scale", f"image of L(0,0) has L part at {l_key}")
 
-    m_image = op.apply_key(alg.key("M", ZERO, 0))
+    m_image = sigma.apply_key(alg.key("M", ZERO, 0))
     m_key, ac = _single_term(m_image, "M", "loop-scale")
     if m_key.gamma != ZERO or m_key.loop != 0 or len(m_image) != 1:
         raise FactorError("loop-scale", "image of M(0,0) is not a multiple of M(0,0)")
     c = ac / a
 
-    m_key, coeff = _single_term(op.apply_key(alg.key("M", ZERO, 1)), "M", "loop-scale")
+    m_key, coeff = _single_term(sigma.apply_key(alg.key("M", ZERO, 1)), "M", "loop-scale")
     if m_key.gamma != ZERO or m_key.loop not in (1, -1):
         raise FactorError("loop-scale", f"image of M(0,1) sits at {m_key}")
     eps = m_key.loop
@@ -542,10 +511,10 @@ def factor(alg: LoopAlgebra, sigma, window: Window) -> FactoredAutomorphism:
     chi = []
     for tau in group.t_basis:
         if group.in_gamma(tau):
-            key, coeff = _single_term(op.apply_key(alg.key("M", tau, 0)), "M", "char-twist")
+            key, coeff = _single_term(sigma.apply_key(alg.key("M", tau, 0)), "M", "char-twist")
             chi_val = coeff / ac
         else:
-            key, coeff = _single_term(op.apply_key(alg.key("Y", tau, 0)), "Y", "char-twist")
+            key, coeff = _single_term(sigma.apply_key(alg.key("Y", tau, 0)), "Y", "char-twist")
             chi_val = coeff / (a * r)
         if key.gamma != tau / a:
             raise FactorError("char-twist", f"image index of {tau} is {key.gamma}, expected {tau / a}")
@@ -556,7 +525,7 @@ def factor(alg: LoopAlgebra, sigma, window: Window) -> FactoredAutomorphism:
     lead_inv = lead.inverse()
 
     def tau_map(key: BasisKey) -> Element:
-        return lead_inv.apply(op.apply_key(key))
+        return lead_inv(sigma.apply_key(key))
 
     resid = tau_map(key_l00)
     a_part: dict = {}
@@ -634,7 +603,7 @@ def factor(alg: LoopAlgebra, sigma, window: Window) -> FactoredAutomorphism:
 
     inner = tuple(x for x in (x_y, x_lin, x_quad) if x)
     result = FactoredAutomorphism(a, tuple(shifts), tuple(chi), r, eps, b, e, inner)
-    witness = operators_agree(result.to_word(alg).to_operator(), op, alg.window_keys(window))
+    witness = operators_agree(result.to_word(alg), sigma, alg.window_keys(window))
     if witness is not None:
         raise FactorError("recompose", f"factored word disagrees at {witness}", witness=witness)
     return result

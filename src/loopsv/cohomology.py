@@ -59,14 +59,6 @@ class LinearFunctional:
     def value(self, key: BasisKey) -> Scalar:
         return self._values.get(key, ZERO)
 
-    def of_element(self, x: Element) -> Scalar:
-        out = ZERO
-        for key, coeff in x.terms.items():
-            v = self._values.get(key)
-            if v is not None:
-                out = out + coeff * v
-        return out
-
     def items(self):
         return sorted(self._values.items(), key=lambda kv: kv[0].sort_key())
 
@@ -310,7 +302,7 @@ class ReducedCocycle:
 def _pivots(alg: LoopAlgebra, window: Window):
     s = alg.group.s
     four_s_sq = (s + s) * (s + s)
-    gammas, _ = alg.window_gammas(window)
+    gammas, _ = alg.group.window_gammas(window)
     out = []
     for a in sorted((g for g in gammas if g.sign() > 0), key=abs):
         if a * a * a == a:

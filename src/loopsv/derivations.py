@@ -9,14 +9,13 @@ postcondition checks, and reduce nonzero-degree derivations to inner ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .errors import ShapeError
 from .groups import GroupData
 from .laurent import LaurentPoly
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, HALF
 
 __all__ = [
     "Operator",
@@ -38,31 +37,32 @@ __all__ = [
     "operators_agree",
 ]
 
-HALF = Scalar(Fraction(1, 2))
-
 
 class Operator:
-    """Linear map defined by its action on basis keys.
+    """Linear map given by its rows: the image of each basis key.
 
-    ``degree`` is an optional declared weight shift: every output term of a
-    degree-gamma operator sits at the input weight plus gamma.
+    ``row(key)`` computes one row; ``apply_key`` computes each key's row once
+    and keeps it on the operator, so repeated sweeps and sums of operators
+    reuse it.  ``degree`` is an optional declared weight shift: every output
+    term of a degree-gamma operator sits at the input weight plus gamma.
     """
 
-    __slots__ = ("alg", "_fn", "degree")
+    __slots__ = ("alg", "degree", "_row", "_rows")
 
-    def __init__(self, alg: LoopAlgebra, fn, degree: Scalar | None = None):
+    def __init__(self, alg: LoopAlgebra, row, degree: Scalar | None = None):
         self.alg = alg
-        self._fn = fn
+        self._row = row
         self.degree = degree
+        self._rows: dict = {}
 
     def apply_key(self, key: BasisKey) -> Element:
-        return self._fn(key)
+        out = self._rows.get(key)
+        if out is None:
+            out = self._rows[key] = self._row(key)
+        return out
 
     def __call__(self, x: Element) -> Element:
-        out = self.alg.zero()
-        for key, coeff in x.terms.items():
-            out = out + coeff * self._fn(key)
-        return out
+        return _linear_image(self.alg, x, self.apply_key)
 
     def _combined_degree(self, other: "Operator") -> Scalar | None:
         if self.degree is not None and other.degree is not None and self.degree == other.degree:
@@ -74,7 +74,7 @@ class Operator:
             return NotImplemented
         return Operator(
             self.alg,
-            lambda key: self._fn(key) + other._fn(key),
+            lambda key: self.apply_key(key) + other.apply_key(key),
             self._combined_degree(other),
         )
 
@@ -83,24 +83,24 @@ class Operator:
             return NotImplemented
         return Operator(
             self.alg,
-            lambda key: self._fn(key) - other._fn(key),
+            lambda key: self.apply_key(key) - other.apply_key(key),
             self._combined_degree(other),
         )
-
-    def __neg__(self):
-        return Operator(self.alg, lambda key: -self._fn(key), self.degree)
-
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            c = Scalar.of(other)
-            return Operator(self.alg, lambda key: c * self._fn(key), self.degree)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     @staticmethod
     def zero(alg: LoopAlgebra) -> "Operator":
         return Operator(alg, lambda key: alg.zero(), ZERO)
+
+
+def _linear_image(alg: LoopAlgebra, x: Element, row) -> Element:
+    """The sum of ``coeff * row(key)`` over the terms of x, added up in one dict."""
+    acc: dict = {}
+    for key, coeff in x.terms.items():
+        for out_key, c in row(key).terms.items():
+            add = coeff * c
+            prev = acc.get(out_key)
+            acc[out_key] = add if prev is None else prev + add
+    return Element(alg.group, acc)
 
 
 def table_operator(alg: LoopAlgebra, table: dict, degree=None) -> Operator:
@@ -255,22 +255,29 @@ def derivation_defect(alg: LoopAlgebra, D: Operator, x: Element, y: Element) -> 
 
 def derivation_witnesses(alg: LoopAlgebra, D: Operator, window: Window, limit: int = 10) -> list:
     """Window key pairs where the Leibniz rule fails (expected: none)."""
+    mono = {key: alg.monomial(key) for key in alg.window_keys(window)}
+
+    def rhs(k1, k2):
+        return alg.bracket(D.apply_key(k1), mono[k2]) + alg.bracket(mono[k1], D.apply_key(k2))
+
+    return _pair_witnesses(alg, D, window, limit, rhs)
+
+
+def _pair_witnesses(alg: LoopAlgebra, op: Operator, window: Window, limit: int, rhs) -> list:
+    """Window key pairs, k2 at or after k1, where ``op`` of [k1, k2] differs from rhs(k1, k2).
+
+    Every window row is computed before the sweep starts, so an operator
+    undefined somewhere on the window raises whatever the limit.
+    """
     keys = alg.window_keys(window)
-    images = {key: D.apply_key(key) for key in keys}
+    for key in keys:
+        op.apply_key(key)
     bad = []
     for i, k1 in enumerate(keys):
-        e1 = alg.monomial(k1)
         for k2 in keys[i:]:
             t = alg.structure(k1, k2)
-            if t is None:
-                lhs = alg.zero()
-            else:
-                img = images.get(t[0])
-                if img is None:
-                    img = images[t[0]] = D.apply_key(t[0])
-                lhs = t[1] * img
-            rhs = alg.bracket(images[k1], alg.monomial(k2)) + alg.bracket(e1, images[k2])
-            if lhs != rhs:
+            lhs = alg.zero() if t is None else t[1] * op.apply_key(t[0])
+            if lhs != rhs(k1, k2):
                 bad.append((k1, k2))
                 if len(bad) >= limit:
                     return bad
@@ -374,7 +381,7 @@ def canonical_decompose_degree0(alg: LoopAlgebra, D: Operator, window: Window) -
     key on the window before it is returned.
     """
     group = alg.group
-    gammas, _ = alg.window_gammas(window)
+    gammas, _ = alg.group.window_gammas(window)
 
     img = D.apply_key(alg.key("L", ZERO, 1))
     parts = _split_parts(img, ZERO, ("L", "M"), 1, "D(L(0,1))")

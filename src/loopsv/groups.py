@@ -10,16 +10,13 @@ lattice basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import GroupConfigError
 from .lattice import lattice_basis, solve_integer
-from .scalars import Scalar, is_squarefree, parse_scalar
+from .scalars import ZERO, Scalar, is_squarefree, parse_scalar
 
-__all__ = ["GroupData", "GAMMA", "GAMMA1", "T_SET"]
-
-GAMMA = "Gamma"
-GAMMA1 = "Gamma1"
-T_SET = "T"
+__all__ = ["GroupData"]
 
 
 class GroupData:
@@ -97,15 +94,6 @@ class GroupData:
     def in_t(self, x) -> bool:
         return self.t_coords(Scalar.of(x)) is not None
 
-    def member(self, x, which: str) -> bool:
-        if which == GAMMA:
-            return self.in_gamma(x)
-        if which == GAMMA1:
-            return self.in_gamma1(x)
-        if which == T_SET:
-            return self.in_t(x)
-        raise ValueError(f"unknown index set {which!r}")
-
     def validate_scaling(self, a) -> bool:
         """True when multiplication by a maps Gamma onto Gamma and T onto T."""
         a = Scalar.of(a)
@@ -118,6 +106,24 @@ class GroupData:
             if not self.in_t(a * tau) or not self.in_t(tau / a):
                 return False
         return True
+
+    def window_gammas(self, window):
+        """Group indices inside the window, split as (Gamma part, coset part)."""
+        bound = window.coordinate_bound()
+        in_gamma, in_coset = [], []
+        for coords in product(range(-bound, bound + 1), repeat=len(self.t_basis)):
+            gamma = ZERO
+            for c, b in zip(coords, self.t_basis):
+                gamma = gamma + c * b
+            if self.in_gamma(gamma):
+                if gamma not in in_gamma:
+                    in_gamma.append(gamma)
+            elif self.in_gamma1(gamma):
+                if gamma not in in_coset:
+                    in_coset.append(gamma)
+        in_gamma.sort()
+        in_coset.sort()
+        return in_gamma, in_coset
 
     # -- construction from a config document ------------------------------------
 

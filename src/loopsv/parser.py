@@ -91,6 +91,15 @@ def _scalar(alg: LoopAlgebra, text: str, offset: int) -> Scalar:
         raise ParseError(str(exc), position=offset, expected="scalar") from None
 
 
+def _integer(text: str, what: str, position: int) -> int:
+    if not _INTEGER.match(text):
+        raise ParseError(f"{what} must be an integer, got {text!r}", position=position, expected="integer")
+    try:
+        return int(text)
+    except ValueError:  # beyond Python's limit on digits in an int string
+        raise ParseError(f"{what} has too many digits", position=position, expected="integer") from None
+
+
 def _parse_atom(alg: LoopAlgebra, chunk: str, offset: int) -> BasisKey:
     m = _ATOM_START.match(chunk)
     if not m:
@@ -110,14 +119,8 @@ def _parse_atom(alg: LoopAlgebra, chunk: str, offset: int) -> BasisKey:
     if comma == -1:
         raise ParseError("atom needs two indices", position=offset + close, expected=",")
     gamma = _scalar(alg, inside[:comma], offset + 2)
-    loop_text = inside[comma + 1 :].strip()
-    if not _INTEGER.match(loop_text):
-        raise ParseError(
-            f"loop index must be an integer, got {loop_text!r}",
-            position=offset + 3 + comma,
-            expected="integer",
-        )
-    return alg.key(chunk[0], gamma, int(loop_text))
+    loop = _integer(inside[comma + 1 :].strip(), "loop index", offset + 3 + comma)
+    return alg.key(chunk[0], gamma, loop)
 
 
 def _parse_term(alg: LoopAlgebra, chunk: str, offset: int):
@@ -215,14 +218,7 @@ def _laurent_pieces(alg: LoopAlgebra, coeff_text: str, power_text: str, offset: 
     if power_text == "t":
         return coeff, 1
     if power_text.startswith("t^"):
-        exp_text = power_text[2:]
-        if not _INTEGER.match(exp_text):
-            raise ParseError(
-                f"exponent must be an integer, got {exp_text!r}",
-                position=offset,
-                expected="integer",
-            )
-        return coeff, int(exp_text)
+        return coeff, _integer(power_text[2:], "exponent", offset)
     raise ParseError(
         f"expected a power of t, got {power_text!r}", position=offset, expected="t^k"
     )

@@ -341,6 +341,8 @@ def _parse_fraction(part: str, text: str) -> Fraction:
         return Fraction(part)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in scalar {text!r}") from None
+    except ValueError:  # beyond Python's limit on digits in an int string
+        raise ParseError(f"scalar has too many digits ({len(text)} characters)") from None
 
 
 def _checked_root(a, b, d, field_d, text):

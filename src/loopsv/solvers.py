@@ -13,7 +13,7 @@ family u*index + v; the tests pin that down rather than assume it.
 
 from __future__ import annotations
 
-from .algebra import LoopAlgebra, Window
+from .algebra import Window
 from .groups import GroupData
 from .scalars import ZERO, ONE
 
@@ -59,14 +59,9 @@ def nullspace(rows: list, ncols: int) -> list:
     return basis
 
 
-def _window_gammas(group: GroupData, window: Window) -> list:
-    gammas, _ = LoopAlgebra(group).window_gammas(window)
-    return gammas
-
-
 def g_constraint_space(group: GroupData, window: Window) -> tuple:
     """(basis, gammas): each basis vector is a dict gamma -> scalar."""
-    gammas = _window_gammas(group, window)
+    gammas, _ = group.window_gammas(window)
     index = {g: n for n, g in enumerate(gammas)}
     ncols = len(gammas)
     rows = []
@@ -94,7 +89,7 @@ def shear_constraint_space(group: GroupData, window: Window) -> tuple:
     falls outside the window; rows that would reference an unknown outside
     the window are dropped instead of being truncated.
     """
-    gammas = _window_gammas(group, window)
+    gammas, _ = group.window_gammas(window)
     loops = list(window.loops())
     idx = {}
     for g in gammas:

@@ -111,7 +111,7 @@ def test_jacobi_examples(alg, m):
 
 
 def test_window_enumeration(alg, window):
-    gammas, cosets = alg.window_gammas(window)
+    gammas, cosets = alg.group.window_gammas(window)
     assert gammas == [Scalar(v) for v in range(-3, 4)]
     assert cosets == [Scalar(Fraction(n, 2)) for n in (-5, -3, -1, 1, 3, 5)]
     keys = alg.window_keys(window)

@@ -54,7 +54,7 @@ def assert_identity_on(alg, word, window):
 class TestGenerators:
     def test_scale(self, alg, m):
         w = Word(alg, [Scale(Scalar(-1))])
-        assert w.apply(m("L", 2, 3)) == m("L", -2, 3, -1)
+        assert w(m("L", 2, 3)) == m("L", -2, 3, -1)
 
     def test_scale_rejects_non_unit(self, alg):
         with pytest.raises(ShapeError):
@@ -62,14 +62,14 @@ class TestGenerators:
 
     def test_loop_shift(self, alg, m):
         w = Word(alg, [LoopShift((1,))])
-        assert w.apply(m("L", 1, 2)) == m("L", 1, 4)
-        assert w.apply(m("Y", Fraction(1, 2), 0)) == m("Y", Fraction(1, 2), 1)
+        assert w(m("L", 1, 2)) == m("L", 1, 4)
+        assert w(m("Y", Fraction(1, 2), 0)) == m("Y", Fraction(1, 2), 1)
 
     def test_char_twist(self, alg, m):
         w = Word(alg, [CharTwist((Scalar(2),), Scalar(3))])
-        assert w.apply(m("Y", Fraction(1, 2), 0)) == m("Y", Fraction(1, 2), 0, 6)
-        assert w.apply(m("M", 1, 0)) == m("M", 1, 0, 36)
-        assert w.apply(m("L", 1, 0)) == m("L", 1, 0, 4)
+        assert w(m("Y", Fraction(1, 2), 0)) == m("Y", Fraction(1, 2), 0, 6)
+        assert w(m("M", 1, 0)) == m("M", 1, 0, 36)
+        assert w(m("L", 1, 0)) == m("L", 1, 0, 4)
 
     def test_char_twist_rejects_zero(self, alg):
         with pytest.raises(ShapeError):
@@ -77,22 +77,22 @@ class TestGenerators:
 
     def test_z_flip(self, alg, m):
         w = Word(alg, [ZFlip()])
-        assert w.apply(m("M", 1, 3)) == m("M", 1, -3)
-        assert w.apply(m("L", 0, 0)) == m("L", 0, 0)
+        assert w(m("M", 1, 3)) == m("M", 1, -3)
+        assert w(m("L", 0, 0)) == m("L", 0, 0)
 
     def test_loop_scale(self, alg, m):
         w = Word(alg, [LoopScale(Scalar(3))])
-        assert w.apply(m("Y", Fraction(1, 2), -2)) == m("Y", Fraction(1, 2), -2, Fraction(1, 9))
+        assert w(m("Y", Fraction(1, 2), -2)) == m("Y", Fraction(1, 2), -2, Fraction(1, 9))
 
     def test_m_shear(self, alg, m):
         w = Word(alg, [MShear(MShearData(diagonals={1: (0, 1)}))])
-        assert w.apply(m("L", 2, 0)) == m("L", 2, 0) + m("M", 2, 1)
-        assert w.apply(m("M", 2, 0)) == m("M", 2, 0)
-        assert w.apply(m("Y", Fraction(1, 2), 0)) == m("Y", Fraction(1, 2), 0)
+        assert w(m("L", 2, 0)) == m("L", 2, 0) + m("M", 2, 1)
+        assert w(m("M", 2, 0)) == m("M", 2, 0)
+        assert w(m("Y", Fraction(1, 2), 0)) == m("Y", Fraction(1, 2), 0)
 
     def test_inner(self, alg, m):
         w = Word(alg, [Inner(m("M", 1, 0))])
-        assert w.apply(m("L", 2, 5)) == m("L", 2, 5) - m("M", 3, 5)
+        assert w(m("L", 2, 5)) == m("L", 2, 5) - m("M", 3, 5)
 
     def test_inner_rejects_L_component(self, alg, m):
         with pytest.raises(ShapeError):
@@ -127,14 +127,14 @@ class TestWords:
         shear = Word(alg, [MShear(MShearData(diagonals={1: (0, 1)}))])
         scale = Word(alg, [LoopScale(Scalar(2))])
         both = compose(scale, shear)  # scale after shear
-        assert both.apply(m("L", 0, 0)) == m("L", 0, 0) + m("M", 0, 1, 2)
+        assert both(m("L", 0, 0)) == m("L", 0, 0) + m("M", 0, 1, 2)
 
     def test_shear_words_add(self, alg, small_window):
         c = MShearData(diagonals={0: (1, 0), 1: (0, 2)})
         e = MShearData(diagonals={1: (Fraction(1, 2), -1), -2: (0, 3)})
         two_step = Word(alg, [MShear(c), MShear(e)])
         one_step = Word(alg, [MShear(c + e)])
-        assert operators_agree(two_step.to_operator(), one_step.to_operator(), alg.window_keys(small_window)) is None
+        assert operators_agree(two_step, one_step, alg.window_keys(small_window)) is None
 
     def test_tuple_fold_matches_composition(self, alg, group, small_window):
         rng = random.Random(31)
@@ -153,7 +153,7 @@ class TestWords:
             folded = fold_tuple_params(group, t1, t2)
             w = tuple_word(alg, *t1).then(tuple_word(alg, *t2))
             wf = tuple_word(alg, *folded)
-            assert operators_agree(w.to_operator(), wf.to_operator(), alg.window_keys(small_window)) is None
+            assert operators_agree(w, wf, alg.window_keys(small_window)) is None
 
     def test_conjugated_shear_matches_word_conjugation(self, alg, group, small_window):
         rng = random.Random(47)
@@ -174,7 +174,7 @@ class TestWords:
             P = tuple_word(alg, *params)
             conj = Word(alg, P.gens + (MShear(e),) + P.inverse().gens)
             direct = Word(alg, [MShear(conjugated_shear(group, *params, e))])
-            assert operators_agree(conj.to_operator(), direct.to_operator(), alg.window_keys(small_window)) is None
+            assert operators_agree(conj, direct, alg.window_keys(small_window)) is None
 
 
 class TestInnerStructure:
@@ -244,7 +244,7 @@ class TestFactor:
             w = rand_word(alg, rng, window)
             got = factor(alg, w, window)
             rebuilt = got.to_word(alg)
-            assert operators_agree(rebuilt.to_operator(), w.to_operator(), alg.window_keys(window)) is None
+            assert operators_agree(rebuilt, w, alg.window_keys(window)) is None
 
     def test_conjugated_inner_has_trivial_leading_part(self, alg, m, window):
         P = tuple_word(alg, Scalar(-1), (1,), (Scalar(2),), Scalar(3), -1, Scalar(2))

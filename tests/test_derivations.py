@@ -1,6 +1,8 @@
 """Derivation families, degree splitting, and canonical decomposition."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from loopsv import (
     Scalar,
     ShapeError,
     Window,
+    Word,
+    automorphism_witnesses,
     canonical_decompose_degree0,
     degree_decompose,
     derivation_defect,
@@ -127,6 +131,60 @@ class TestDefects:
             x = rand_element(alg, rng, small_window)
             y = rand_element(alg, rng, small_window)
             assert derivation_defect(alg, D, x, y) == alg.zero()
+
+
+class TestPairSweep:
+    @pytest.mark.parametrize("limit", [3, 10**6])
+    def test_both_checks_match_a_reference_loop(self, alg, small_window, limit):
+        # shifting every loop index by one is neither a derivation nor an automorphism
+        def shifted(x):
+            return alg.element({alg.key(k.kind, k.gamma, k.loop + 1): c for k, c in x.terms.items()})
+
+        shift = Operator(alg, lambda key: shifted(alg.monomial(key)))
+        keys = alg.window_keys(small_window)
+
+        def reference(rhs):
+            bad = []
+            for i, k1 in enumerate(keys):
+                for k2 in keys[i:]:
+                    x, y = alg.monomial(k1), alg.monomial(k2)
+                    if shifted(alg.bracket(x, y)) != rhs(x, y):
+                        bad.append((k1, k2))
+                        if len(bad) >= limit:
+                            return bad
+            return bad
+
+        leibniz = reference(lambda x, y: alg.bracket(shifted(x), y) + alg.bracket(x, shifted(y)))
+        respect = reference(lambda x, y: alg.bracket(shifted(x), shifted(y)))
+        assert leibniz and respect
+        assert limit > 3 or len(leibniz) == len(respect) == 3
+        assert derivation_witnesses(alg, shift, small_window, limit) == leibniz
+        assert automorphism_witnesses(alg, shift, small_window, limit) == respect
+
+    def test_apply_key_computes_each_row_once(self, alg, small_window):
+        calls = Counter()
+
+        def row(key):
+            calls[key] += 1
+            return alg.monomial(key)
+
+        op = Operator(alg, row)
+        keys = alg.window_keys(small_window)
+        for _ in range(2):
+            for key in keys:
+                op.apply_key(key)
+            op(alg.element({key: 1 for key in keys}))
+        derivation_witnesses(alg, op, small_window)
+        automorphism_witnesses(alg, op, small_window)
+        assert set(keys) <= set(calls)
+        assert set(calls.values()) == {1}
+
+    def test_word_is_an_operator(self, alg):
+        word = Word(alg, [])
+        assert isinstance(word, Operator)
+        # only this name and getrefcount's argument refer to the word: its row
+        # holds no reference back, so no cycle keeps its rows alive
+        assert sys.getrefcount(word) == 2
 
 
 class TestDegreeSplit:
@@ -280,7 +338,7 @@ class TestHomQuotient:
         coeffs = hom_quotient_witness(alg.group, phi)
         D = Operator.zero(alg)
         for j, a in coeffs.items():
-            D = D + a * make_ad(alg, alg.monomial(alg.key("L", 0, j)))
+            D = D + make_ad(alg, alg.monomial(alg.key("L", 0, j), a))
         assert operators_agree(make_D_phi(alg, phi), D, alg.window_keys(small_window)) is None
 
     def test_rank_two_obstruction(self, root2_alg, root2_group):
@@ -301,7 +359,7 @@ class TestHomQuotient:
         assert coeffs == {1: Scalar(1)}
         D = Operator.zero(root2_alg)
         for j, a in coeffs.items():
-            D = D + a * make_ad(root2_alg, root2_alg.monomial(root2_alg.key("L", 0, j)))
+            D = D + make_ad(root2_alg, root2_alg.monomial(root2_alg.key("L", 0, j), a))
         keys = root2_alg.window_keys(Window(2, 1))
         assert operators_agree(make_D_phi(root2_alg, phi), D, keys) is None
 

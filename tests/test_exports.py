@@ -1,0 +1,16 @@
+"""Every name a module lists in ``__all__`` exists."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import loopsv
+
+MODULES = [info.name for info in pkgutil.iter_modules(loopsv.__path__) if info.name != "__main__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    module = importlib.import_module(f"loopsv.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -8,16 +8,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import loopsv
 from loopsv import (
     InvalidKeyError,
+    LsvError,
     ParseError,
     Scalar,
     Window,
     parse_element,
     parse_key,
 )
+from loopsv.cli import cocycle_from_doc, derivation_from_doc, word_from_doc
 
 from support import cli_env, rand_element, run_cli
 
@@ -318,6 +321,9 @@ class TestCliFailures:
             (["check", "automorphism"], [{"loop-shift": 1}]),
             (["cocycle-class"], {"classes": {"x": "3"}}),
             (["decompose-derivation"], {"g": {"affine": ["t"]}}),
+            (["check", "automorphism"], [{"scale": True}]),
+            (["cocycle-class"], {"classes": {"0": True}}),
+            (["bracket", "L(1," + "9" * 4400 + ")", "L(1,0)"], None),
         ],
     )
     def test_malformed_input_is_usage(self, tmp_path, argv, doc):
@@ -326,6 +332,17 @@ class TestCliFailures:
             path.write_text(json.dumps(doc))
             argv = [*argv, str(path)]
         assert_usage_error(run_cli(*argv, "--gamma-height", "1", "--loop-bound", "0"))
+
+    @pytest.mark.parametrize(
+        "bounds", [{"gamma_height": 1.9, "loop_bound": 0.5}, {"gamma_height": True, "loop_bound": 0}]
+    )
+    def test_non_integer_window_in_config_is_usage(self, tmp_path, bounds):
+        config = tmp_path / "window.json"
+        config.write_text(json.dumps({"gamma_generators": ["1"], "s": "1/2", "window": bounds}))
+        assert_usage_error(run_cli("check", "jacobi", "--json", "--config", str(config)))
+        # flags override the config, so its window values are never read
+        proc = run_cli("check", "jacobi", "--config", str(config), "--gamma-height", "1", "--loop-bound", "0")
+        assert proc.returncode == 0
 
     def test_semantic_key_error_is_usage(self):
         proc = run_cli("bracket", "L(1/2,0)", "L(1,0)")
@@ -387,3 +404,26 @@ class TestCliFailures:
         payload = json.loads(proc.stdout)
         assert payload["residual"] != "0"
         assert all(entry["kind"] == "boundary" for entry in payload["residual"])
+
+
+# words the loaders look for, so fuzzed documents reach past the first check
+LOADER_WORDS = [
+    "rho", "f", "g", "b", "inner", "affine", "table", "classes", "scale", "loop-shift", "char-twist",
+    "chi", "r", "z-flip", "loop-scale", "m-shear", "diagonals", "0", "1", "-1", "2", "1/2", "3/2", "t",
+    "t^-1", "sqrt2", "L(1,0)", "L(-1,0)", "M(0,1)", "Y(1/2,0)", "M(1,0) - Y(1/2,1)",
+]
+JSON_TEXT = st.sampled_from(LOADER_WORDS) | st.text(max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=JSON_VALUES, loader=st.sampled_from([word_from_doc, derivation_from_doc, cocycle_from_doc]))
+def test_loaders_load_or_raise_lsv_error(alg, doc, loader):
+    try:
+        loader(alg, doc)
+    except LsvError:
+        pass
