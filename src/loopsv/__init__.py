@@ -86,6 +86,7 @@ from .errors import (
     InvalidKeyError,
     LsvError,
     NotACocycleError,
+    OutputError,
     ParseError,
     ShapeError,
 )

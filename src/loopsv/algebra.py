@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import GroupMismatchError, InvalidKeyError
 from .groups import GroupData
-from .scalars import Scalar, ZERO, _coeff_str
+from .scalars import Scalar, ZERO, _signed_sum
 
 __all__ = [
     "BasisKey",
@@ -146,17 +146,7 @@ class Element:
         return self.group is other.group and self._terms == other._terms
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        out = []
-        for key, coeff in self.items_sorted():
-            mag = abs(coeff)
-            body = str(key) if mag == 1 else f"{_coeff_str(mag)}*{key}"
-            if not out:
-                out.append(body if coeff.sign() > 0 else f"-{body}")
-            else:
-                out.append(("+ " if coeff.sign() > 0 else "- ") + body)
-        return " ".join(out)
+        return _signed_sum((str(key), coeff) for key, coeff in self.items_sorted())
 
     def __repr__(self):
         return f"Element({str(self)!r})"

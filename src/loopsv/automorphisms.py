@@ -16,7 +16,7 @@ from functools import partial
 from itertools import product as iproduct
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
-from .derivations import Operator, _linear_image, _pair_witnesses, operators_agree
+from .derivations import Operator, _fit_affine, _linear_image, _pair_witnesses, operators_agree
 from .errors import FactorError, ShapeError
 from .groups import GroupData
 from .scalars import Scalar, ZERO, ONE, HALF
@@ -591,12 +591,9 @@ def factor(alg: LoopAlgebra, sigma: Operator, window: Window) -> FactoredAutomor
                     "shear", f"shear value at offset {d} depends on the loop index", witness=(gamma, loop)
                 )
             by_gamma[gamma] = coeff
-        v = by_gamma.get(ZERO, ZERO)
-        pivot = next((gamma for gamma in by_gamma if gamma), None)
-        u = ZERO if pivot is None else (by_gamma[pivot] - v) / pivot
-        for gamma, coeff in by_gamma.items():
-            if u * gamma + v != coeff:
-                raise FactorError("shear", f"shear values at offset {d} are not affine", witness=gamma)
+        u, v, off = _fit_affine(by_gamma, ZERO)
+        if off is not None:
+            raise FactorError("shear", f"shear values at offset {d} are not affine", witness=off)
         if u or v:
             diagonals[d] = (u, v)
     e = MShearData(diagonals=diagonals)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .errors import NotACocycleError, ShapeError
-from .scalars import Scalar, ZERO, ONE, _coeff_str
+from .scalars import Scalar, ZERO, ONE, _signed_sum
 
 __all__ = [
     "LinearFunctional",
@@ -121,7 +121,8 @@ class CoboundaryCocycle(Cocycle):
         t = self.alg.structure(k1, k2)
         if t is None:
             return ZERO
-        return t[1] * self.f.value(t[0])
+        fv = self.f.value(t[0])
+        return t[1] * fv if fv else ZERO
 
 
 class TableCocycle(Cocycle):
@@ -339,14 +340,10 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
                 support.add(t[0])
     f = normalizing_functional(alg, phi, sorted(support, key=lambda k: k.sort_key()))
 
+    delta_f = make_coboundary(alg, f)
+
     def prime(k1: BasisKey, k2: BasisKey) -> Scalar:
-        v = phi.value(k1, k2)
-        t = alg.structure(k1, k2)
-        if t is not None:
-            fv = f.value(t[0])
-            if fv:
-                v = v - t[1] * fv
-        return v
+        return phi.value(k1, k2) - delta_f.value(k1, k2)
 
     pivots = _pivots(alg, window)
     if pivot is not None:
@@ -397,17 +394,13 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
     # diagonal and be proportional to (a^2 - 2 a s) on it
     lm_diag: dict = {}
     residual: list = []
+    delta_f_tot = make_coboundary(alg, f_tot)
     n = len(keys)
     for i1 in range(n):
         k1 = keys[i1]
         for i2 in range(i1 + 1, n):
             k2 = keys[i2]
-            v = phi.value(k1, k2)
-            t = alg.structure(k1, k2)
-            if t is not None:
-                fv = f_tot.value(t[0])
-                if fv:
-                    v = v - t[1] * fv
+            v = phi.value(k1, k2) - delta_f_tot.value(k1, k2)
             for k, c_k in classes.items():
                 pv = phi_k_value(k, k1, k2)
                 if pv:
@@ -420,6 +413,7 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
                     lm_diag[(lk.gamma, lk.loop + mk.loop)] = (
                         v if k1.kind == "L" else -v
                     )
+            t = alg.structure(k1, k2)
             kind = "interior"
             if t is not None and t[0] not in key_set:
                 kind = "boundary"
@@ -490,20 +484,9 @@ class ExtendedElement:
         return self.element == other.element and self.central == other.central
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        out = []
-        if self.element:
-            out.append(str(self.element))
-        for k in sorted(self.central):
-            coeff = self.central[k]
-            mag = abs(coeff)
-            body = f"C({k})" if mag == 1 else f"{_coeff_str(mag)}*C({k})"
-            if not out:
-                out.append(body if coeff.sign() > 0 else f"-{body}")
-            else:
-                out.append(("+ " if coeff.sign() > 0 else "- ") + body)
-        return " ".join(out)
+        terms = [(str(key), coeff) for key, coeff in self.element.items_sorted()]
+        terms += [(f"C({k})", self.central[k]) for k in sorted(self.central)]
+        return _signed_sum(terms)
 
     def __repr__(self):
         return f"<ExtendedElement {self}>"
@@ -543,19 +526,14 @@ class CentralExtension:
         base = self.alg.bracket(x.element, y.element)
         central: dict = {}
         for k1, c1 in x.element.terms.items():
-            if k1.kind != "L":
-                continue
             for k2, c2 in y.element.terms.items():
-                if k2.kind != "L" or k1.gamma + k2.gamma != ZERO:
-                    continue
                 k = k1.loop + k2.loop
-                w = self.weight(k)
-                if not w:
+                value = phi_k_value(k, k1, k2)
+                if not value:
                     continue
-                a = k1.gamma
-                val = c1 * c2 * (a * a * a - a) * TWELFTH * w
-                if val:
-                    central[k] = central.get(k, ZERO) + val
+                w = self.weight(k)
+                if w:
+                    central[k] = central.get(k, ZERO) + c1 * c2 * value * w
         return ExtendedElement(base, central)
 
     def jacobi_defect(self, x, y, z) -> ExtendedElement:

@@ -10,6 +10,7 @@ postcondition checks, and reduce nonzero-degree derivations to inner ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .errors import ShapeError
@@ -187,55 +188,47 @@ class GTable:
         return NotImplemented
 
 
-def _poly_element(alg: LoopAlgebra, kind: str, gamma, base_loop: int, poly: LaurentPoly) -> Element:
+def _degree0_row(alg: LoopAlgebra, rho, f: HomToLaurent, g, b, key: BasisKey) -> Element:
+    """Row of D_rho + D_phi + D_g + D_b at one key, for rho, f, g and b.
+
+    The key's own line is scaled by (i*rho) t^-1 + f(gamma), plus b on M keys
+    and b/2 on Y keys; an L key also gets g(gamma) on its M line.
+    """
+    kind, gamma, loop = key.kind, key.gamma, key.loop
+    poly = (loop * rho).shift(-1) + f.value(alg.group, gamma)
     terms = {}
+    if kind == "L":
+        for e, c in g.value(gamma).items():
+            terms[alg.key("M", gamma, loop + e)] = c
+    else:
+        poly = poly + (b if kind == "M" else HALF * b)
     for e, c in poly.items():
-        terms[alg.key(kind, gamma, base_loop + e)] = c
+        terms[alg.key(kind, gamma, loop + e)] = c
     return Element(alg.group, terms)
+
+
+_NO_POLY = LaurentPoly.zero()
+_NO_SHEAR = GAffine(_NO_POLY, _NO_POLY)
 
 
 def make_D_phi(alg: LoopAlgebra, phi: HomToLaurent) -> Operator:
     """Diagonal action: every key is multiplied by the Laurent image of its index."""
-
-    def fn(key):
-        return _poly_element(alg, key.kind, key.gamma, key.loop, phi.value(alg.group, key.gamma))
-
-    return Operator(alg, fn, ZERO)
+    return CanonicalDerivation(_NO_POLY, phi, _NO_SHEAR, _NO_POLY).to_operator(alg)
 
 
 def make_D_g(alg: LoopAlgebra, g) -> Operator:
     """Shear L into M through g; kills M and Y."""
-
-    def fn(key):
-        if key.kind != "L":
-            return alg.zero()
-        return _poly_element(alg, "M", key.gamma, key.loop, g.value(key.gamma))
-
-    return Operator(alg, fn, ZERO)
+    return CanonicalDerivation(_NO_POLY, HomToLaurent.zero(alg.group), g, _NO_POLY).to_operator(alg)
 
 
 def make_D_b(alg: LoopAlgebra, b: LaurentPoly) -> Operator:
     """Scale M by b and Y by b/2; kills L."""
-
-    def fn(key):
-        if key.kind == "L":
-            return alg.zero()
-        poly = b if key.kind == "M" else HALF * b
-        return _poly_element(alg, key.kind, key.gamma, key.loop, poly)
-
-    return Operator(alg, fn, ZERO)
+    return CanonicalDerivation(_NO_POLY, HomToLaurent.zero(alg.group), _NO_SHEAR, b).to_operator(alg)
 
 
 def make_D_rho(alg: LoopAlgebra, rho: LaurentPoly) -> Operator:
     """Loop reparametrization rho(t) d/dt acting on the loop variable only."""
-
-    def fn(key):
-        if key.loop == 0:
-            return alg.zero()
-        poly = (key.loop * rho).shift(-1)
-        return _poly_element(alg, key.kind, key.gamma, key.loop, poly)
-
-    return Operator(alg, fn, ZERO)
+    return CanonicalDerivation(rho, HomToLaurent.zero(alg.group), _NO_SHEAR, _NO_POLY).to_operator(alg)
 
 
 def make_ad(alg: LoopAlgebra, z: Element) -> Operator:
@@ -348,15 +341,13 @@ class CanonicalDerivation:
     inner: Element | None = None
 
     def to_operator(self, alg: LoopAlgebra) -> Operator:
-        out = (
-            make_D_rho(alg, self.rho)
-            + make_D_phi(alg, self.f)
-            + make_D_g(alg, self.g)
-            + make_D_b(alg, self.b)
-        )
-        if self.inner is not None and self.inner:
-            out = out + make_ad(alg, self.inner)
-        return out
+        """One operator on the degree-zero row, plus the row of ad(inner) when inner is nonzero."""
+        row = partial(_degree0_row, alg, self.rho, self.f, self.g, self.b)
+        if not self.inner:
+            return Operator(alg, row, ZERO)
+        ad = make_ad(alg, self.inner)
+        degree = ZERO if ad.degree == ZERO else None
+        return Operator(alg, lambda key: row(key) + ad.apply_key(key), degree)
 
 
 def _split_parts(elem: Element, gamma: Scalar, allowed: tuple, base_loop: int, context: str) -> dict:
@@ -386,13 +377,13 @@ def canonical_decompose_degree0(alg: LoopAlgebra, D: Operator, window: Window) -
     img = D.apply_key(alg.key("L", ZERO, 1))
     parts = _split_parts(img, ZERO, ("L", "M"), 1, "D(L(0,1))")
     rho = parts["L"].shift(1)
-    Dp = D - make_D_rho(alg, rho)
 
     f_at: dict = {}
     g_at: dict = {}
 
+    # D_rho kills loop index 0, where every read below sits
     def read_L(gamma: Scalar):
-        image = Dp.apply_key(alg.key("L", gamma, 0))
+        image = D.apply_key(alg.key("L", gamma, 0))
         split = _split_parts(image, gamma, ("L", "M"), 0, f"D(L({gamma},0))")
         return split["L"], split["M"]
 
@@ -421,9 +412,10 @@ def canonical_decompose_degree0(alg: LoopAlgebra, D: Operator, window: Window) -
             images.append(HALF * f_value(tau + tau))
     f = HomToLaurent(tuple(images))
 
-    g = _fit_g(gammas, g_at)
+    u, v, off = _fit_affine(g_at, LaurentPoly.zero())
+    g = GAffine(u, v) if off is None else GTable(g_at)
 
-    img = Dp.apply_key(alg.key("M", ZERO, 0))
+    img = D.apply_key(alg.key("M", ZERO, 0))
     b = _split_parts(img, ZERO, ("M",), 0, "D(M(0,0))")["M"]
 
     cand = CanonicalDerivation(rho, f, g, b)
@@ -436,17 +428,17 @@ def canonical_decompose_degree0(alg: LoopAlgebra, D: Operator, window: Window) -
     return cand
 
 
-def _fit_g(gammas, g_at: dict):
-    """Prefer the affine form; fall back to a validated table."""
-    v = g_at.get(ZERO, LaurentPoly.zero())
-    pivot = next((gamma for gamma in gammas if gamma), None)
-    if pivot is None:
-        return GAffine(LaurentPoly.zero(), v)
-    u = (g_at[pivot] - v) * pivot.inverse()
-    affine = GAffine(u, v)
-    if all(affine.value(gamma) == g_at[gamma] for gamma in gammas):
-        return affine
-    return GTable(g_at)
+def _fit_affine(values: dict, zero):
+    """Fit values[gamma] = u*gamma + v: (u, v, first gamma off that line or None).
+
+    v is the value at 0 (``zero`` if absent) and u comes from the first
+    nonzero gamma in the dict's order.
+    """
+    v = values.get(ZERO, zero)
+    pivot = next((gamma for gamma in values if gamma), None)
+    u = zero if pivot is None else (values[pivot] - v) * pivot.inverse()
+    off = next((gamma for gamma, value in values.items() if u * gamma + v != value), None)
+    return u, v, off
 
 
 def hom_quotient_witness(group: GroupData, phi: HomToLaurent) -> dict | None:

@@ -52,6 +52,10 @@ class NotACocycleError(LsvError):
         self.witness = witness
 
 
+class OutputError(LsvError):
+    """A result cannot be printed exactly, such as a numeral past the int-string digit limit."""
+
+
 class ParseError(LsvError):
     """Input text was rejected; carries the position and what was expected."""
 

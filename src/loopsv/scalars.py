@@ -13,7 +13,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import OutputError, ParseError
 
 __all__ = ["Scalar", "ZERO", "ONE", "HALF", "parse_scalar", "is_squarefree"]
 
@@ -258,21 +258,21 @@ class Scalar:
         return None
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        root = f"sqrt{self.d}"
-        mag = abs(self.b)
-        part = root if mag == 1 else f"{mag}*{root}"
-        if self.a == 0:
-            return part if self.b > 0 else f"-{part}"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a}{op}{part}"
+        try:
+            if self.b == 0:
+                return str(self.a)
+            root = f"sqrt{self.d}"
+            mag = abs(self.b)
+            part = root if mag == 1 else f"{mag}*{root}"
+            if self.a == 0:
+                return part if self.b > 0 else f"-{part}"
+            op = "+" if self.b > 0 else "-"
+            return f"{self.a}{op}{part}"
+        except ValueError:  # beyond Python's limit on digits in an int string
+            raise OutputError("a coefficient of the result has too many digits to print") from None
 
     def __repr__(self):
         return f"Scalar({str(self)!r})"
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
 
 _FRACTION_ZERO = Fraction(0)
@@ -294,6 +294,23 @@ def _coeff_str(c: Scalar) -> str:
     if c.b != 0 and c.a != 0:
         return f"({s})"
     return s
+
+
+def _signed_sum(terms) -> str:
+    """``c1*x1 + c2*x2 - ...`` for (name, coefficient) pairs, ``0`` for none.
+
+    A coefficient of magnitude one is left out, and each sign after the
+    first is spaced out as a binary operator.
+    """
+    out = []
+    for name, coeff in terms:
+        mag = abs(coeff)
+        body = name if mag == 1 else f"{_coeff_str(mag)}*{name}"
+        if not out:
+            out.append(body if coeff.sign() > 0 else f"-{body}")
+        else:
+            out.append(("+ " if coeff.sign() > 0 else "- ") + body)
+    return " ".join(out) or "0"
 
 
 ZERO = Scalar(0)
@@ -325,14 +342,14 @@ def parse_scalar(text: str, field_d: int | None = None) -> Scalar:
         b = _parse_fraction(coef, text) if coef else Fraction(1)
         if sign:
             b = -b
-        return _checked_root(Fraction(0), b, int(d), field_d, text)
+        return _checked_root(Fraction(0), b, d, field_d, text)
     m = _RE_MIXED.match(s)
     if m:
         rat, op, coef, d = m.groups()
         b = _parse_fraction(coef, text) if coef else Fraction(1)
         if op == "-":
             b = -b
-        return _checked_root(_parse_fraction(rat, text), b, int(d), field_d, text)
+        return _checked_root(_parse_fraction(rat, text), b, d, field_d, text)
     raise ParseError(f"cannot parse scalar {text!r}")
 
 
@@ -345,11 +362,15 @@ def _parse_fraction(part: str, text: str) -> Fraction:
         raise ParseError(f"scalar has too many digits ({len(text)} characters)") from None
 
 
-def _checked_root(a, b, d, field_d, text):
-    if not is_squarefree(d) or d < 2:
-        raise ParseError(f"radicand in {text!r} must be squarefree and >= 2")
-    if field_d is not None and d != field_d:
-        if field_d == 0:
-            raise ParseError(f"{text!r} uses sqrt{d} but the field is plain Q")
+def _checked_root(a, b, digits: str, field_d, text):
+    d = int(_parse_fraction(digits, text))
+    # a configured radicand was validated with its group, so only a free one
+    # pays for the trial-division squarefree test
+    if field_d is None:
+        if d < 2 or not is_squarefree(d):
+            raise ParseError(f"radicand in {text!r} must be squarefree and >= 2")
+    elif field_d == 0:
+        raise ParseError(f"{text!r} uses sqrt{d} but the field is plain Q")
+    elif d != field_d:
         raise ParseError(f"{text!r} uses sqrt{d} but the field is Q(sqrt{field_d})")
     return Scalar(a, b, d)

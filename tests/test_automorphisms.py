@@ -271,6 +271,23 @@ class TestFactor:
         with pytest.raises(FactorError):
             factor(alg, Word(alg, [Bad()]), window)
 
+    def test_non_affine_shear_names_its_index(self, alg):
+        # L(a,i) -> L(a,i) + a^2 M(a,i): loop-independent on each offset, but a^2 is not affine
+        class SquareShear:
+            def validate(self, alg):
+                pass
+
+            def apply_key(self, alg, key):
+                out = alg.monomial(key)
+                if key.kind == "L" and key.gamma:
+                    out = out + alg.monomial(alg.key("M", key.gamma, key.loop), key.gamma * key.gamma)
+                return out
+
+        with pytest.raises(FactorError, match="shear values at offset 0 are not affine") as err:
+            factor(alg, Word(alg, [SquareShear()]), Window(2, 1))
+        assert err.value.step == "shear"
+        assert err.value.witness == Scalar(-1)  # pivot -2 fixes u = -2, and -1 is the first index off the line
+
     def test_describe_shape(self, alg, window):
         got = factor(alg, Word(alg, [ZFlip()]), window)
         doc = got.describe()

@@ -30,6 +30,7 @@ from loopsv import (
     make_D_rho,
     make_ad,
     operators_agree,
+    parse_element,
     parse_laurent,
     reduce_nonzero_degree,
     table_operator,
@@ -381,3 +382,89 @@ class TestFullPipeline:
         got = canonical_decompose_degree0(alg, zero_part, small_window)
         rebuilt = CanonicalDerivation(got.rho, got.f, got.g, got.b, recovered)
         assert operators_agree(rebuilt.to_operator(alg), D, alg.window_keys(small_window)) is None
+
+
+def reference_degree0_row(alg, cand, key):
+    """D_rho + D_phi + D_g + D_b (+ ad inner) at one key, each family's action
+    written out on its own and added term by term."""
+    group = alg.group
+    terms = Counter()
+
+    def add(kind, loop, coeff):
+        terms[alg.key(kind, key.gamma, loop)] += coeff
+
+    for e, c in cand.rho.items():  # D_rho: X(a,i) -> i t^(e-1) X(a,i)
+        if key.loop:
+            add(key.kind, key.loop + e - 1, key.loop * c)
+    for e, c in cand.f.value(group, key.gamma).items():  # D_phi: multiply by f(a)
+        add(key.kind, key.loop + e, c)
+    if key.kind == "L":  # D_g: L(a,i) -> g(a) M(a,i)
+        for e, c in cand.g.value(key.gamma).items():
+            add("M", key.loop + e, c)
+    else:  # D_b: M by b, Y by b/2
+        half = Scalar(Fraction(1, 2)) if key.kind == "Y" else ONE
+        for e, c in cand.b.items():
+            add(key.kind, key.loop + e, half * c)
+    out = alg.element(dict(terms))
+    if cand.inner:
+        out = out + alg.bracket(cand.inner, alg.monomial(key))
+    return out
+
+
+class TestDegreeZeroRow:
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+    @pytest.mark.parametrize("g_kind", ["affine", "table"])
+    @pytest.mark.parametrize("inner", [None, "M(0,1) - 2*M(0,-1)", "M(1,0) + Y(-1/2,1)"])
+    def test_to_operator_matches_family_sum(self, alg, root2_alg, field, g_kind, inner):
+        if field == "Q":
+            window, f = Window(2, 1), HomToLaurent((poly(alg, "t^-1 + 2*t"),))
+        else:
+            alg, window = root2_alg, Window(1, 1)
+            f = HomToLaurent((poly(alg, "t^-1 + 2*t"), poly(alg, "sqrt2*t - 1")))
+        g = GAffine(poly(alg, "t"), poly(alg, "1/2 + t^2"))
+        if g_kind == "table":
+            gammas, _ = alg.group.window_gammas(window)
+            g = GTable({gamma: g.value(gamma) for gamma in gammas})
+        x = None if inner is None else parse_element(alg, inner)
+        cand = CanonicalDerivation(poly(alg, "t^2 - 3"), f, g, poly(alg, "2*t^-2 + t"), x)
+        D = cand.to_operator(alg)
+        for key in alg.window_keys(window):
+            assert D.apply_key(key) == reference_degree0_row(alg, cand, key), key
+        # a weight-zero inner part keeps the declared degree; one of mixed weight drops it
+        assert D.degree == (None if inner and "Y" in inner else ZERO)
+
+    def test_family_rows_are_the_row_with_other_pieces_zero(self, alg, small_window):
+        cand = CanonicalDerivation(
+            poly(alg, "t - t^3"),
+            HomToLaurent((poly(alg, "3*t^-1"),)),
+            GAffine(poly(alg, "t^-1"), poly(alg, "2")),
+            poly(alg, "5 + t"),
+        )
+        zero = LaurentPoly.zero()
+        no_f = HomToLaurent.zero(alg.group)
+        no_g = GAffine(zero, zero)
+        families = [
+            (make_D_rho(alg, cand.rho), CanonicalDerivation(cand.rho, no_f, no_g, zero)),
+            (make_D_phi(alg, cand.f), CanonicalDerivation(zero, cand.f, no_g, zero)),
+            (make_D_g(alg, cand.g), CanonicalDerivation(zero, no_f, cand.g, zero)),
+            (make_D_b(alg, cand.b), CanonicalDerivation(zero, no_f, no_g, cand.b)),
+        ]
+        for D, alone in families:
+            assert D.degree == ZERO
+            for key in alg.window_keys(small_window):
+                assert D.apply_key(key) == reference_degree0_row(alg, alone, key)
+
+    @pytest.mark.parametrize("inner, most", [(None, 1), ("M(1,0)", 2)])
+    def test_to_operator_builds_one_operator_per_part(self, alg, monkeypatch, inner, most):
+        built = []
+        init = Operator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Operator, "__init__", counting_init)
+        cand = rand_canonical(alg, random.Random(8))
+        x = None if inner is None else parse_element(alg, inner)
+        CanonicalDerivation(cand.rho, cand.f, cand.g, cand.b, x).to_operator(alg)
+        assert len(built) <= most

@@ -251,6 +251,22 @@ class TestCliBehavior:
         assert proc.returncode == 0
         assert proc.stdout == "pass\n"
 
+    def test_check_reports_pairs_compared(self, tmp_path):
+        # the sweep stops at its 10th witness, (L(0,-1), L(1,0)), after 242 of the 903 pairs
+        doc = tmp_path / "word.json"
+        doc.write_text(json.dumps([{"m-shear": {"table": [["1", 0, 0, "1"]]}}]))
+        proc = run_cli("check", "automorphism", str(doc), "--gamma-height", "2", "--loop-bound", "1", "--json")
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["payload"] == {"pairs": 242}
+        assert len(report["witnesses"]) == 10 and report["witnesses"][-1] == "(L(0,-1), L(1,0))"
+        # a sweep that finds fewer witnesses than the limit compares every pair
+        doc = tmp_path / "deriv.json"
+        doc.write_text(json.dumps({"b": "t"}))
+        proc = run_cli("check", "derivation", str(doc), "--gamma-height", "2", "--loop-bound", "1", "--json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["payload"] == {"pairs": 903}
+
     def test_config_env_variable(self, configs):
         proc = run_cli("grade", "L(sqrt2,0)", env_extra={"LSV_CONFIG": configs["root2.json"]})
         assert proc.returncode == 0
@@ -324,6 +340,9 @@ class TestCliFailures:
             (["check", "automorphism"], [{"scale": True}]),
             (["cocycle-class"], {"classes": {"0": True}}),
             (["bracket", "L(1," + "9" * 4400 + ")", "L(1,0)"], None),
+            (["bracket", "sqrt100000000000000000039*L(0,0)", "L(1,0)"], None),
+            (["bracket", "sqrt" + "7" * 4400 + "*L(0,0)", "L(1,0)"], None),
+            (["bracket", "9" * 3000 + "*L(1,0)", "9" * 3000 + "*L(2,0)"], None),
         ],
     )
     def test_malformed_input_is_usage(self, tmp_path, argv, doc):
