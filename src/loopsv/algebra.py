@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GroupMismatchError, InvalidKeyError
+from .errors import GroupMismatchError, InvalidKeyError, OutputError
 from .groups import GroupData
 from .scalars import Scalar, ZERO, _signed_sum
 
@@ -62,7 +62,10 @@ class BasisKey:
         return (self.kind, self.gamma, self.loop)
 
     def __str__(self):
-        return f"{self.kind}({self.gamma},{self.loop})"
+        try:
+            return f"{self.kind}({self.gamma},{self.loop})"
+        except ValueError:  # beyond Python's limit on digits in an int string
+            raise OutputError("a loop index of the result has too many digits to print") from None
 
     def __repr__(self):
         return f"BasisKey({str(self)})"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product as iproduct
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .derivations import Operator, _fit_affine, _linear_image, _pair_witnesses, operators_agree
@@ -616,27 +615,10 @@ def iso_test(g1: GroupData, g2: GroupData, height: int = 4) -> Scalar | None:
     """
     if g1.field_d != g2.field_d:
         return None
-
-    def relates(a: Scalar) -> bool:
-        for g in g2.gamma_basis:
-            if not g1.in_gamma(a * g):
-                return False
-        for g in g1.gamma_basis:
-            if not g2.in_gamma(g / a):
-                return False
-        return g1.in_gamma(a * g2.s - g1.s)
-
     candidates = []
     seen = set()
-    small = []
-    for coords in iproduct(range(-height, height + 1), repeat=len(g1.t_basis)):
-        x = ZERO
-        for ccoord, basis_elt in zip(coords, g1.t_basis):
-            x = x + ccoord * basis_elt
-        if x:
-            small.append(x)
     denominators = list(g2.gamma_basis) + [g2.s]
-    for x in small:
+    for x in g1.t_points(height):
         for den in denominators:
             a = x / den
             if a and a not in seen:
@@ -644,6 +626,6 @@ def iso_test(g1: GroupData, g2: GroupData, height: int = 4) -> Scalar | None:
                 candidates.append(a)
     candidates.sort(key=lambda a: (abs(a), a.sign() < 0))
     for a in candidates:
-        if relates(a):
+        if g1.carries(g2, a):
             return a
     return None

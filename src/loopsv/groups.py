@@ -2,9 +2,9 @@
 
 The bracket indices live in a finitely generated additive subgroup Gamma of
 the scalar field together with a shift s satisfying s not in Gamma and
-2s in Gamma.  The union T = Gamma | (s + Gamma) is again a group; membership
-in any of the three sets reduces to an integer solve against a canonical
-lattice basis.
+2s in Gamma.  The union T = Gamma | (s + Gamma) is again a group, with Gamma
+of index 2 in it; membership in any of the three sets is back-substitution
+against a canonical (Hermite) lattice basis stored once per group.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import GroupConfigError
-from .lattice import lattice_basis, solve_integer
-from .scalars import ZERO, Scalar, is_squarefree, parse_scalar
+from .lattice import coordinates, lattice_basis
+from .scalars import ZERO, Scalar, is_radicand, parse_scalar
 
 __all__ = ["GroupData"]
 
@@ -23,8 +23,8 @@ class GroupData:
     """Field choice plus generators of Gamma and the shift s, with derived bases."""
 
     def __init__(self, gamma_generators, s, field_d: int = 0):
-        if field_d != 0 and (field_d < 2 or not is_squarefree(field_d)):
-            raise GroupConfigError(f"field radicand {field_d} must be squarefree and >= 2")
+        if field_d != 0 and not is_radicand(field_d):
+            raise GroupConfigError("the field radicand must be squarefree, >= 2 and below 10^12")
         gens = tuple(Scalar.of(g) for g in gamma_generators)
         if not gens:
             raise GroupConfigError("Gamma needs at least one generator")
@@ -38,8 +38,10 @@ class GroupData:
         self.gamma_generators = gens
         self.s = s
         self._dim = 1 if field_d == 0 else 2
-        self.gamma_basis = self._derive_basis(gens)
-        self.t_basis = self._derive_basis(gens + (s,))
+        self._gamma_rows = lattice_basis([self._vec(x) for x in gens])
+        self._t_rows = lattice_basis([self._vec(x) for x in gens + (s,)])
+        self.gamma_basis = tuple(self._unvec(row) for row in self._gamma_rows)
+        self.t_basis = tuple(self._unvec(row) for row in self._t_rows)
         self.rank = len(self.t_basis)
         self._coord_cache: dict[tuple[str, Scalar], tuple[int, ...] | None] = {}
         if self.in_gamma(s):
@@ -59,11 +61,7 @@ class GroupData:
             return Scalar(v[0])
         return Scalar(v[0], v[1], self.field_d if v[1] else 0)
 
-    def _derive_basis(self, elements) -> tuple[Scalar, ...]:
-        rows = [self._vec(x) for x in elements]
-        return tuple(self._unvec(row) for row in lattice_basis(rows))
-
-    def _coords(self, basis_name: str, basis, x: Scalar) -> tuple[int, ...] | None:
+    def _coords(self, basis_name: str, rows, x: Scalar) -> tuple[int, ...] | None:
         key = (basis_name, x)
         try:
             return self._coord_cache[key]
@@ -71,17 +69,15 @@ class GroupData:
             pass
         if x.d not in (0, self.field_d):
             raise GroupConfigError(f"scalar {x} does not live in the configured field")
-        rows = [self._vec(g) for g in basis]
-        sol = solve_integer(rows, self._vec(x))
-        out = None if sol is None else tuple(sol)
+        out = coordinates(rows, self._vec(x))
         self._coord_cache[key] = out
         return out
 
     def gamma_coords(self, x: Scalar) -> tuple[int, ...] | None:
-        return self._coords("g", self.gamma_basis, x)
+        return self._coords("g", self._gamma_rows, x)
 
     def t_coords(self, x: Scalar) -> tuple[int, ...] | None:
-        return self._coords("t", self.t_basis, x)
+        return self._coords("t", self._t_rows, x)
 
     # -- membership -------------------------------------------------------------
 
@@ -94,33 +90,42 @@ class GroupData:
     def in_t(self, x) -> bool:
         return self.t_coords(Scalar.of(x)) is not None
 
-    def validate_scaling(self, a) -> bool:
-        """True when multiplication by a maps Gamma onto Gamma and T onto T."""
+    def carries(self, other: "GroupData", a) -> bool:
+        """True when a*Gamma_other = Gamma and a*s_other - s lies in Gamma.
+
+        Given a*Gamma_other = Gamma, a*T_other = Gamma | (a*s_other + Gamma),
+        which is T exactly when a*s_other - s lies in Gamma.
+        """
         a = Scalar.of(a)
         if not a:
             return False
-        for g in self.gamma_basis:
-            if not self.in_gamma(a * g) or not self.in_gamma(g / a):
-                return False
-        for tau in self.t_basis:
-            if not self.in_t(a * tau) or not self.in_t(tau / a):
-                return False
-        return True
+        return (
+            all(self.in_gamma(a * g) for g in other.gamma_basis)
+            and all(other.in_gamma(g / a) for g in self.gamma_basis)
+            and self.in_gamma(a * other.s - self.s)
+        )
+
+    def validate_scaling(self, a) -> bool:
+        """True when multiplication by a maps Gamma onto Gamma and T onto T."""
+        return self.carries(self, a)
+
+    def t_points(self, bound: int):
+        """T-points whose T-basis coordinates lie in [-bound, bound], in product order."""
+        for coords in product(range(-bound, bound + 1), repeat=self.rank):
+            x = ZERO
+            for c, b in zip(coords, self.t_basis):
+                x = x + c * b
+            yield x
 
     def window_gammas(self, window):
-        """Group indices inside the window, split as (Gamma part, coset part)."""
-        bound = window.coordinate_bound()
+        """Group indices inside the window, split as (Gamma part, coset part).
+
+        Coordinates over a basis are unique, so no point repeats, and a T-point
+        outside Gamma lies in s + Gamma.
+        """
         in_gamma, in_coset = [], []
-        for coords in product(range(-bound, bound + 1), repeat=len(self.t_basis)):
-            gamma = ZERO
-            for c, b in zip(coords, self.t_basis):
-                gamma = gamma + c * b
-            if self.in_gamma(gamma):
-                if gamma not in in_gamma:
-                    in_gamma.append(gamma)
-            elif self.in_gamma1(gamma):
-                if gamma not in in_coset:
-                    in_coset.append(gamma)
+        for gamma in self.t_points(window.coordinate_bound()):
+            (in_gamma if self.in_gamma(gamma) else in_coset).append(gamma)
         in_gamma.sort()
         in_coset.sort()
         return in_gamma, in_coset

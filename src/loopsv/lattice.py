@@ -15,16 +15,15 @@ def _row_sub(row, other, q):
         row[i] -= q * other[i]
 
 
-def hermite_with_transform(rows):
-    """Row Hermite form ``h`` of an integer matrix plus unimodular ``u``.
+def hermite_form(rows):
+    """Row Hermite form of an integer matrix.
 
-    ``u @ rows == h``; pivots are positive, entries above a pivot are reduced
-    modulo it, and zero rows sink to the bottom.
+    Pivots are positive, entries above a pivot are reduced modulo it, and zero
+    rows sink to the bottom.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     h = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     r = 0
     for c in range(n):
         if r == m:
@@ -36,13 +35,10 @@ def hermite_with_transform(rows):
             i0 = min(live, key=lambda i: abs(h[i][c]))
             if i0 != r:
                 h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
             done = True
             for i in range(r + 1, m):
                 if h[i][c]:
-                    q = h[i][c] // h[r][c]
-                    _row_sub(h[i], h[r], q)
-                    _row_sub(u[i], u[r], q)
+                    _row_sub(h[i], h[r], h[i][c] // h[r][c])
                     if h[i][c]:
                         done = False
             if done:
@@ -50,56 +46,20 @@ def hermite_with_transform(rows):
         if h[r][c] != 0:
             if h[r][c] < 0:
                 h[r] = [-v for v in h[r]]
-                u[r] = [-v for v in u[r]]
             for i in range(r):
                 q = h[i][c] // h[r][c]
                 if q:
                     _row_sub(h[i], h[r], q)
-                    _row_sub(u[i], u[r], q)
             r += 1
-    return h, u
+    return h
 
 
-def _common_denominator(rows, extra=()):
+def _common_denominator(rows):
     den = 1
     for row in rows:
         for v in row:
             den = math.lcm(den, Fraction(v).denominator)
-    for v in extra:
-        den = math.lcm(den, Fraction(v).denominator)
     return den
-
-
-def solve_integer(rows, target):
-    """Integer vector x with ``x @ rows == target``, or None.
-
-    ``rows`` and ``target`` hold Fractions; denominators are cleared jointly
-    so the solve is exact.
-    """
-    if not rows:
-        return None if any(target) else []
-    den = _common_denominator(rows, target)
-    int_rows = [[int(v * den) for v in row] for row in rows]
-    t = [int(v * den) for v in target]
-    h, u = hermite_with_transform(int_rows)
-    m = len(int_rows)
-    n = len(t)
-    y = [0] * m
-    rem = list(t)
-    for idx, hrow in enumerate(h):
-        p = next((j for j, v in enumerate(hrow) if v), None)
-        if p is None:
-            continue
-        if rem[p] % hrow[p] != 0:
-            return None
-        q = rem[p] // hrow[p]
-        y[idx] = q
-        if q:
-            for j in range(n):
-                rem[j] -= q * hrow[j]
-    if any(rem):
-        return None
-    return [sum(y[i] * u[i][j] for i in range(m)) for j in range(m)]
 
 
 def lattice_basis(rows):
@@ -108,5 +68,26 @@ def lattice_basis(rows):
         return []
     den = _common_denominator(rows)
     int_rows = [[int(v * den) for v in row] for row in rows]
-    h, _ = hermite_with_transform(int_rows)
-    return [[Fraction(v, den) for v in row] for row in h if any(row)]
+    return [[Fraction(v, den) for v in row] for row in hermite_form(int_rows) if any(row)]
+
+
+def coordinates(basis_rows, x):
+    """Integer coordinates of the Fraction vector ``x`` over echelon ``basis_rows``, or None.
+
+    Each row's pivot sits right of the one above it, as ``lattice_basis``
+    returns them, so back-substitution row by row finds the only candidate;
+    ``x`` lies in the lattice exactly when every step is integral and nothing
+    is left over.
+    """
+    rem = list(x)
+    out = []
+    for row in basis_rows:
+        p = next(j for j, v in enumerate(row) if v)
+        q = rem[p] / row[p]
+        if q.denominator != 1:
+            return None
+        out.append(int(q))
+        if q:
+            for j, v in enumerate(row):
+                rem[j] -= q * v
+    return None if any(rem) else tuple(out)

@@ -123,26 +123,32 @@ def _parse_atom(alg: LoopAlgebra, chunk: str, offset: int) -> BasisKey:
     return alg.key(chunk[0], gamma, loop)
 
 
+def _closing_paren(chunk: str, offset: int) -> int:
+    """Position of the ')' that closes the '(' opening ``chunk``."""
+    depth = 0
+    for pos, ch in enumerate(chunk):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return pos
+    raise ParseError("unbalanced '('", position=offset)
+
+
 def _parse_term(alg: LoopAlgebra, chunk: str, offset: int):
     chunk = chunk.strip()
     if chunk.startswith("("):
-        depth = 0
-        for pos, ch in enumerate(chunk):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    coeff = _scalar(alg, chunk[1:pos], offset + 1)
-                    rest = chunk[pos + 1 :].strip()
-                    if not rest.startswith("*"):
-                        raise ParseError(
-                            "parenthesized coefficient needs '*'",
-                            position=offset + pos + 1,
-                            expected="*",
-                        )
-                    return coeff, _parse_atom(alg, rest[1:].strip(), offset + pos + 2)
-        raise ParseError("unbalanced '('", position=offset)
+        pos = _closing_paren(chunk, offset)
+        coeff = _scalar(alg, chunk[1:pos], offset + 1)
+        rest = chunk[pos + 1 :].strip()
+        if not rest.startswith("*"):
+            raise ParseError(
+                "parenthesized coefficient needs '*'",
+                position=offset + pos + 1,
+                expected="*",
+            )
+        return coeff, _parse_atom(alg, rest[1:].strip(), offset + pos + 2)
     m = _ATOM_START.search(chunk)
     if m is None:
         raise ParseError(
@@ -185,24 +191,16 @@ def parse_key(alg: LoopAlgebra, text: str) -> BasisKey:
 def _parse_laurent_term(alg: LoopAlgebra, chunk: str, offset: int):
     chunk = chunk.strip()
     if chunk.startswith("("):
-        depth = 0
-        for pos, ch in enumerate(chunk):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    rest = chunk[pos + 1 :].strip()
-                    if rest and not rest.startswith("*"):
-                        raise ParseError(
-                            "parenthesized coefficient needs '*'",
-                            position=offset + pos + 1,
-                            expected="*",
-                        )
-                    coeff_text = chunk[1:pos]
-                    tail = rest[1:].strip() if rest else ""
-                    return _laurent_pieces(alg, coeff_text, tail, offset)
-        raise ParseError("unbalanced '('", position=offset)
+        pos = _closing_paren(chunk, offset)
+        rest = chunk[pos + 1 :].strip()
+        if rest and not rest.startswith("*"):
+            raise ParseError(
+                "parenthesized coefficient needs '*'",
+                position=offset + pos + 1,
+                expected="*",
+            )
+        tail = rest[1:].strip() if rest else ""
+        return _laurent_pieces(alg, chunk[1:pos], tail, offset)
     star = chunk.rfind("*")
     if star != -1 and chunk[star + 1 :].strip().startswith("t"):
         return _laurent_pieces(alg, chunk[:star], chunk[star + 1 :].strip(), offset)

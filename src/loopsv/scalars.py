@@ -17,6 +17,15 @@ from .errors import OutputError, ParseError
 
 __all__ = ["Scalar", "ZERO", "ONE", "HALF", "parse_scalar", "is_squarefree"]
 
+# is_squarefree divides by every k up to sqrt(d); below this bound that stays
+# under a second, so a larger radicand is refused before any division
+RADICAND_LIMIT = 10**12
+
+
+def is_radicand(d: int) -> bool:
+    """True when Q(sqrt d) is a field this package accepts: d squarefree, 2 <= d < 10^12."""
+    return 2 <= d < RADICAND_LIMIT and is_squarefree(d)
+
 
 def is_squarefree(d: int) -> bool:
     if d < 1:
@@ -367,8 +376,8 @@ def _checked_root(a, b, digits: str, field_d, text):
     # a configured radicand was validated with its group, so only a free one
     # pays for the trial-division squarefree test
     if field_d is None:
-        if d < 2 or not is_squarefree(d):
-            raise ParseError(f"radicand in {text!r} must be squarefree and >= 2")
+        if not is_radicand(d):
+            raise ParseError(f"radicand in {text!r} must be squarefree, >= 2 and below 10^12")
     elif field_d == 0:
         raise ParseError(f"{text!r} uses sqrt{d} but the field is plain Q")
     elif d != field_d:

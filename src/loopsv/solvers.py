@@ -6,9 +6,10 @@ entry points compute, on a finite window, the space of functions g with
 
     (beta - alpha) g(alpha + beta) = beta g(beta) - alpha g(alpha)
 
-once over the group index alone, and once per loop diagonal with the loop
-index carried along.  Both spaces are expected to collapse to the affine
-family u*index + v; the tests pin that down rather than assume it.
+once over the group index alone (the loop-diagonal system at loop bound 0),
+and once per loop diagonal with the loop index carried along.  Both spaces
+are expected to collapse to the affine family u*index + v; the tests pin
+that down rather than assume it.
 """
 
 from __future__ import annotations
@@ -60,25 +61,12 @@ def nullspace(rows: list, ncols: int) -> list:
 
 
 def g_constraint_space(group: GroupData, window: Window) -> tuple:
-    """(basis, gammas): each basis vector is a dict gamma -> scalar."""
-    gammas, _ = group.window_gammas(window)
-    index = {g: n for n, g in enumerate(gammas)}
-    ncols = len(gammas)
-    rows = []
-    for a in gammas:
-        for b in gammas:
-            if a == b:
-                continue
-            tot = a + b
-            if tot not in index:
-                continue
-            row = [ZERO] * ncols
-            row[index[tot]] = row[index[tot]] + (b - a)
-            row[index[b]] = row[index[b]] - b
-            row[index[a]] = row[index[a]] + a
-            rows.append(row)
-    basis = nullspace(rows, ncols)
-    return [{g: vec[index[g]] for g in gammas if vec[index[g]]} for vec in basis], gammas
+    """(basis, gammas): each basis vector is a dict gamma -> scalar.
+
+    This is the sheared system at loop bound 0, with each (gamma, 0) read as gamma.
+    """
+    basis, keys = shear_constraint_space(group, Window(window.gamma_height, 0))
+    return [{g: v for (g, _), v in vec.items()} for vec in basis], [g for g, _ in keys]
 
 
 def shear_constraint_space(group: GroupData, window: Window) -> tuple:

@@ -328,3 +328,34 @@ class TestIso:
         a = iso_test(group, other)
         assert a is not None
         assert group.in_gamma(a * other.s - group.s)
+
+
+# seven groups: Z, 2Z, (1/6)Z from two generators, Z + sqrt2 Z, sqrt2 Z inside
+# Q(sqrt2), a Q(sqrt5) lattice and Z + 10 sqrt2 Z
+ISO_GROUPS = {
+    "Z": {"gamma_generators": ["1"], "s": "1/2"},
+    "2Z": {"gamma_generators": ["2"], "s": "1"},
+    "Q2gen": {"gamma_generators": ["2/3", "1/2"], "s": "1/12"},
+    "Z+r2Z": {"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "sqrt2"], "s": "1/2"},
+    "r2Z": {"field": {"Q_sqrt": 2}, "gamma_generators": ["sqrt2"], "s": "1/2*sqrt2"},
+    "Q5": {"field": {"Q_sqrt": 5}, "gamma_generators": ["1", "1/2+1/2*sqrt5"], "s": "1/4+1/4*sqrt5"},
+    "Z+10r2Z": {"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "10*sqrt2"], "s": "1/2"},
+}
+# iso_test at the default height on every ordered pair; pairs not listed give None
+ISO_FOUND = {
+    ("Z", "Z"): "1", ("Z", "2Z"): "1/2", ("Z", "Q2gen"): "6",
+    ("2Z", "Z"): "2", ("2Z", "2Z"): "1", ("2Z", "Q2gen"): "12",
+    ("Q2gen", "Z"): "1/6", ("Q2gen", "2Z"): "1/12", ("Q2gen", "Q2gen"): "1",
+    ("Z+r2Z", "Z+r2Z"): "3-2*sqrt2", ("r2Z", "r2Z"): "1", ("Q5", "Q5"): "-2+sqrt5",
+    ("Z+10r2Z", "Z+10r2Z"): "1",
+}
+
+
+def test_iso_table_on_seven_groups():
+    groups = {name: GroupData.from_config(doc) for name, doc in ISO_GROUPS.items()}
+    for n1, g1 in groups.items():
+        for n2, g2 in groups.items():
+            a = iso_test(g1, g2)
+            assert (None if a is None else str(a)) == ISO_FOUND.get((n1, n2)), (n1, n2)
+            if a is not None:
+                assert g1.carries(g2, a)

@@ -343,6 +343,7 @@ class TestCliFailures:
             (["bracket", "sqrt100000000000000000039*L(0,0)", "L(1,0)"], None),
             (["bracket", "sqrt" + "7" * 4400 + "*L(0,0)", "L(1,0)"], None),
             (["bracket", "9" * 3000 + "*L(1,0)", "9" * 3000 + "*L(2,0)"], None),
+            (["bracket", "L(1," + "9" * 4300 + ")", "L(2," + "9" * 4300 + ")"], None),
         ],
     )
     def test_malformed_input_is_usage(self, tmp_path, argv, doc):
@@ -362,6 +363,12 @@ class TestCliFailures:
         # flags override the config, so its window values are never read
         proc = run_cli("check", "jacobi", "--config", str(config), "--gamma-height", "1", "--loop-bound", "0")
         assert proc.returncode == 0
+
+    def test_large_field_radicand_in_config_is_usage(self, tmp_path):
+        # refused before the trial-division squarefree test, which would run for hours
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps({"field": {"Q_sqrt": 100000000000000000039}, "gamma_generators": ["1"], "s": "1/2"}))
+        assert_usage_error(run_cli("grade", "L(1,0)", "--config", str(config)))
 
     def test_semantic_key_error_is_usage(self):
         proc = run_cli("bracket", "L(1/2,0)", "L(1,0)")

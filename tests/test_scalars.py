@@ -112,6 +112,13 @@ def test_parse_rejects_wrong_radicand():
         parse_scalar("")
 
 
+def test_parse_refuses_large_radicand_before_trial_division():
+    # trial division up to sqrt(10^20) would run for hours
+    with pytest.raises(ParseError, match="below 10\\^12"):
+        parse_scalar("sqrt100000000000000000039")
+    assert parse_scalar("sqrt999999999989") == Scalar(0, 1, 999999999989)
+
+
 @given(root2s, root2s, root2s)
 def test_field_axioms(x, y, z):
     assert (x + y) + z == x + (y + z)
