@@ -43,9 +43,7 @@ from .automorphisms import (
 )
 from .cohomology import (
     CentralExtension,
-    ClassCocycle,
     Cocycle,
-    CoboundaryCocycle,
     CombinationCocycle,
     ExtendedElement,
     LinearFunctional,
@@ -93,7 +91,7 @@ from .errors import (
 from .groups import GroupData
 from .laurent import LaurentPoly
 from .parser import parse_element, parse_key, parse_laurent
-from .scalars import HALF, ONE, ZERO, Scalar, parse_scalar
+from .scalars import HALF, ONE, ZERO, Scalar, is_squarefree, parse_scalar
 from .solvers import g_constraint_space, nullspace, shear_constraint_space
 
 __version__ = "0.1.0"

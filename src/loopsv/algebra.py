@@ -125,12 +125,7 @@ class Element:
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_group(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            prev = out.get(key)
-            out[key] = -coeff if prev is None else prev - coeff
-        return Element(self.group, out)
+        return self + (-other)
 
     def __neg__(self):
         return Element(self.group, {k: -c for k, c in self._terms.items()})
@@ -215,15 +210,6 @@ class LoopAlgebra:
 
     def monomial(self, key: BasisKey, coeff=1) -> Element:
         return Element(self.group, {key: Scalar.of(coeff)})
-
-    def L(self, gamma, loop: int) -> Element:
-        return self.monomial(self.key("L", gamma, loop))
-
-    def M(self, gamma, loop: int) -> Element:
-        return self.monomial(self.key("M", gamma, loop))
-
-    def Y(self, gamma, loop: int) -> Element:
-        return self.monomial(self.key("Y", gamma, loop))
 
     def zero(self) -> Element:
         return Element(self.group)

@@ -573,12 +573,8 @@ def factor(alg: LoopAlgebra, sigma: Operator, window: Window) -> FactoredAutomor
         for out_key, coeff in diff.terms.items():
             if out_key.kind != "M" or out_key.gamma != key.gamma:
                 raise FactorError("shear", f"residual at {key} contains {out_key}", witness=key)
-            d = out_key.loop - key.loop
-            bucket = diag_values.setdefault(d, {})
-            prev = bucket.get((key.gamma, key.loop))
-            if prev is not None and prev != coeff:
-                raise FactorError("shear", f"conflicting shear value at {key}", witness=key)
-            bucket[(key.gamma, key.loop)] = coeff
+            # one window key and one offset name one M key, so each (gamma, loop) is set once
+            diag_values.setdefault(out_key.loop - key.loop, {})[(key.gamma, key.loop)] = coeff
 
     diagonals = {}
     for d, bucket in diag_values.items():

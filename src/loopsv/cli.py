@@ -13,6 +13,7 @@ is byte-stable, so reports are safe to diff across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -73,7 +74,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise GroupConfigError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the int-string digit limit
         raise GroupConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -138,6 +139,24 @@ def _doc_object(value, what: str) -> dict:
 # -- JSON loaders for structured inputs ---------------------------------------------
 
 
+def _loader(load):
+    """``load`` with its shape and cocycle errors turned into usage errors.
+
+    Such an error while a document is read means the document is invalid,
+    not that a check failed, so it must not end in exit 1.
+    """
+
+    @functools.wraps(load)
+    def wrapped(alg: LoopAlgebra, doc):
+        try:
+            return load(alg, doc)
+        except (ShapeError, NotACocycleError) as exc:
+            raise GroupConfigError(str(exc)) from exc
+
+    return wrapped
+
+
+@_loader
 def derivation_from_doc(alg: LoopAlgebra, doc: dict) -> Operator:
     """Build the operator described by a derivation document."""
     if not isinstance(doc, dict):
@@ -191,6 +210,7 @@ def _shear_from_doc(alg: LoopAlgebra, doc: dict) -> MShearData:
     raise GroupConfigError('shear data must be {"diagonals": {...}} or {"table": [...]}')
 
 
+@_loader
 def word_from_doc(alg: LoopAlgebra, doc) -> Word:
     """Build a generator word from its JSON form (applied first to last)."""
     if not isinstance(doc, list):
@@ -223,6 +243,7 @@ def word_from_doc(alg: LoopAlgebra, doc) -> Word:
     return Word(alg, gens)
 
 
+@_loader
 def cocycle_from_doc(alg: LoopAlgebra, doc: dict):
     if not isinstance(doc, dict):
         raise GroupConfigError("cocycle document must be a JSON object")
@@ -245,7 +266,7 @@ def cocycle_from_doc(alg: LoopAlgebra, doc: dict):
             k1, k2, v = _doc_list(row, "a table row", 3)
             pair = (parse_key(alg, k1), parse_key(alg, k2))
             if pair in entries:
-                raise NotACocycleError(f"duplicate table entry for {k1}, {k2}")
+                raise GroupConfigError(f"duplicate table entry for {k1}, {k2}")
             entries[pair] = _doc_scalar(group, v)
         terms.append((ONE, TableCocycle(alg, entries)))
     return CombinationCocycle(alg, terms)
@@ -295,6 +316,8 @@ def cmd_grade(alg, window, args) -> int:
 def cmd_check(alg, window, args) -> int:
     what = args.what
     if what == "jacobi":
+        if args.file:
+            raise GroupConfigError("check jacobi takes no input file")
         anti = antisymmetry_witnesses(alg, window)
         jac, count = jacobi_witnesses(alg, window)
         witnesses = [_pair_str(w) for w in anti + jac]

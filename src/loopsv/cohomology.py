@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .errors import NotACocycleError, ShapeError
@@ -24,8 +25,6 @@ from .scalars import Scalar, ZERO, ONE, _signed_sum
 __all__ = [
     "LinearFunctional",
     "Cocycle",
-    "ClassCocycle",
-    "CoboundaryCocycle",
     "TableCocycle",
     "CombinationCocycle",
     "make_phi_k",
@@ -85,13 +84,17 @@ def phi_k_value(k: int, k1: BasisKey, k2: BasisKey) -> Scalar:
 
 
 class Cocycle:
-    """Bilinear alternating form given by its values on key pairs."""
+    """Bilinear alternating form given by its value on each key pair.
 
-    def __init__(self, alg: LoopAlgebra):
+    The bilinear counterpart of ``Operator``: ``value(k1, k2)`` is the one
+    function the form is made of, and ``of_elements`` extends it bilinearly.
+    """
+
+    __slots__ = ("alg", "value")
+
+    def __init__(self, alg: LoopAlgebra, value):
         self.alg = alg
-
-    def value(self, k1: BasisKey, k2: BasisKey) -> Scalar:
-        raise NotImplementedError
+        self.value = value
 
     def of_elements(self, x: Element, y: Element) -> Scalar:
         out = ZERO
@@ -103,28 +106,6 @@ class Cocycle:
         return out
 
 
-class ClassCocycle(Cocycle):
-    def __init__(self, alg: LoopAlgebra, k: int):
-        super().__init__(alg)
-        self.k = int(k)
-
-    def value(self, k1: BasisKey, k2: BasisKey) -> Scalar:
-        return phi_k_value(self.k, k1, k2)
-
-
-class CoboundaryCocycle(Cocycle):
-    def __init__(self, alg: LoopAlgebra, f: LinearFunctional):
-        super().__init__(alg)
-        self.f = f
-
-    def value(self, k1: BasisKey, k2: BasisKey) -> Scalar:
-        t = self.alg.structure(k1, k2)
-        if t is None:
-            return ZERO
-        fv = self.f.value(t[0])
-        return t[1] * fv if fv else ZERO
-
-
 class TableCocycle(Cocycle):
     """Explicit finite table of pair values; zero everywhere else.
 
@@ -133,8 +114,9 @@ class TableCocycle(Cocycle):
     Conflicting duplicate entries are rejected outright.
     """
 
+    __slots__ = ("_table",)
+
     def __init__(self, alg: LoopAlgebra, entries: dict):
-        super().__init__(alg)
         table: dict = {}
         for (k1, k2), raw in entries.items():
             coeff = Scalar.of(raw)
@@ -155,37 +137,48 @@ class TableCocycle(Cocycle):
                 )
             table[(k1, k2)] = coeff
         self._table = {pair: c for pair, c in table.items() if c}
-
-    def value(self, k1: BasisKey, k2: BasisKey) -> Scalar:
-        if k2.sort_key() < k1.sort_key():
-            v = self._table.get((k2, k1))
-            return -v if v is not None else ZERO
-        return self._table.get((k1, k2), ZERO)
+        super().__init__(alg, partial(_table_value, self._table))
 
     def items(self):
         return sorted(self._table.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
 
 
-class CombinationCocycle(Cocycle):
-    def __init__(self, alg: LoopAlgebra, terms):
-        super().__init__(alg)
-        self.terms = tuple((Scalar.of(c), phi) for c, phi in terms)
-
-    def value(self, k1: BasisKey, k2: BasisKey) -> Scalar:
-        out = ZERO
-        for coeff, phi in self.terms:
-            v = phi.value(k1, k2)
-            if v:
-                out = out + coeff * v
-        return out
+def _table_value(table: dict, k1: BasisKey, k2: BasisKey) -> Scalar:
+    if k2.sort_key() < k1.sort_key():
+        v = table.get((k2, k1))
+        return -v if v is not None else ZERO
+    return table.get((k1, k2), ZERO)
 
 
-def make_phi_k(alg: LoopAlgebra, k: int) -> ClassCocycle:
-    return ClassCocycle(alg, k)
+def _combination_value(terms: tuple, k1: BasisKey, k2: BasisKey) -> Scalar:
+    out = ZERO
+    for coeff, phi in terms:
+        v = phi.value(k1, k2)
+        if v:
+            out = out + coeff * v
+    return out
 
 
-def make_coboundary(alg: LoopAlgebra, f: LinearFunctional) -> CoboundaryCocycle:
-    return CoboundaryCocycle(alg, f)
+def _coboundary_value(alg: LoopAlgebra, f: LinearFunctional, k1: BasisKey, k2: BasisKey) -> Scalar:
+    t = alg.structure(k1, k2)
+    if t is None:
+        return ZERO
+    fv = f.value(t[0])
+    return t[1] * fv if fv else ZERO
+
+
+def CombinationCocycle(alg: LoopAlgebra, terms) -> Cocycle:
+    """The form sum of ``c * phi`` over the ``(c, phi)`` terms."""
+    return Cocycle(alg, partial(_combination_value, tuple((Scalar.of(c), phi) for c, phi in terms)))
+
+
+def make_phi_k(alg: LoopAlgebra, k: int) -> Cocycle:
+    return Cocycle(alg, partial(phi_k_value, int(k)))
+
+
+def make_coboundary(alg: LoopAlgebra, f: LinearFunctional) -> Cocycle:
+    """The coboundary of f: the form (x, y) -> f([x, y])."""
+    return Cocycle(alg, partial(_coboundary_value, alg, f))
 
 
 def cocycle_defect(phi: Cocycle, x: Element, y: Element, z: Element) -> Scalar:
@@ -340,10 +333,7 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
                 support.add(t[0])
     f = normalizing_functional(alg, phi, sorted(support, key=lambda k: k.sort_key()))
 
-    delta_f = make_coboundary(alg, f)
-
-    def prime(k1: BasisKey, k2: BasisKey) -> Scalar:
-        return phi.value(k1, k2) - delta_f.value(k1, k2)
+    prime = CombinationCocycle(alg, [(ONE, phi), (-ONE, make_coboundary(alg, f))]).value
 
     pivots = _pivots(alg, window)
     if pivot is not None:
@@ -394,17 +384,17 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
     # diagonal and be proportional to (a^2 - 2 a s) on it
     lm_diag: dict = {}
     residual: list = []
-    delta_f_tot = make_coboundary(alg, f_tot)
+    rest = CombinationCocycle(
+        alg,
+        [(ONE, phi), (-ONE, make_coboundary(alg, f_tot))]
+        + [(-c_k, make_phi_k(alg, k)) for k, c_k in classes.items()],
+    ).value
     n = len(keys)
     for i1 in range(n):
         k1 = keys[i1]
         for i2 in range(i1 + 1, n):
             k2 = keys[i2]
-            v = phi.value(k1, k2) - delta_f_tot.value(k1, k2)
-            for k, c_k in classes.items():
-                pv = phi_k_value(k, k1, k2)
-                if pv:
-                    v = v - c_k * pv
+            v = rest(k1, k2)
             if not v:
                 continue
             if {k1.kind, k2.kind} == {"L", "M"}:
@@ -519,14 +509,14 @@ class CentralExtension:
         return ExtendedElement(self.alg.zero(), {int(k): Scalar.of(coeff)})
 
     def bracket(self, x, y) -> ExtendedElement:
-        if isinstance(x, Element):
-            x = self.wrap(x)
-        if isinstance(y, Element):
-            y = self.wrap(y)
-        base = self.alg.bracket(x.element, y.element)
+        if isinstance(x, ExtendedElement):
+            x = x.element
+        if isinstance(y, ExtendedElement):
+            y = y.element
+        base = self.alg.bracket(x, y)
         central: dict = {}
-        for k1, c1 in x.element.terms.items():
-            for k2, c2 in y.element.terms.items():
+        for k1, c1 in x.terms.items():
+            for k2, c2 in y.terms.items():
                 k = k1.loop + k2.loop
                 value = phi_k_value(k, k1, k2)
                 if not value:

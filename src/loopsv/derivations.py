@@ -36,6 +36,7 @@ __all__ = [
     "canonical_decompose_degree0",
     "hom_quotient_witness",
     "operators_agree",
+    "table_operator",
 ]
 
 

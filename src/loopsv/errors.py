@@ -6,6 +6,18 @@ Errors that report a structural violation carry the offending basis data as a
 
 from __future__ import annotations
 
+__all__ = [
+    "LsvError",
+    "GroupConfigError",
+    "GroupMismatchError",
+    "InvalidKeyError",
+    "ShapeError",
+    "FactorError",
+    "NotACocycleError",
+    "OutputError",
+    "ParseError",
+]
+
 
 class LsvError(Exception):
     """Base class for every error raised by this package."""

@@ -70,10 +70,7 @@ class LaurentPoly:
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, ZERO) - c
-        return LaurentPoly(out)
+        return self + (-other)
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self._coeffs.items()})

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import OutputError, ParseError
 
@@ -49,6 +50,7 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+@total_ordering
 class Scalar:
     """Immutable field element ``a + b*sqrt(d)`` with exact rational parts."""
 
@@ -204,24 +206,6 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         return (self - other).sign() < 0
-
-    def __le__(self, other):
-        other = Scalar.of(other) if isinstance(other, (int, Fraction)) else other
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        other = Scalar.of(other) if isinstance(other, (int, Fraction)) else other
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        other = Scalar.of(other) if isinstance(other, (int, Fraction)) else other
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return (self - other).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

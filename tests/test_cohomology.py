@@ -276,3 +276,47 @@ class TestCentralExtension:
         assert y.central == {0: Scalar.of(Fraction(-1, 2)), 2: ONE}
         with pytest.raises(AttributeError):
             x.central = {}
+
+
+def phi_k_formula(k, k1, k2):
+    """phi_k(L(a,i), L(-a,k-i)) = (a^3 - a)/12, and zero on every other pair."""
+    if k1.kind == k2.kind == "L" and k1.gamma + k2.gamma == ZERO and k1.loop + k2.loop == k:
+        a = k1.gamma
+        return (a * a * a - a) / 12
+    return ZERO
+
+
+class TestConstructorsMatchFormulas:
+    """Each cocycle constructor gives the pair values of its defining formula."""
+
+    @pytest.mark.parametrize("name, window", [("alg", Window(2, 1)), ("root2_alg", Window(1, 1))])
+    def test_every_pair(self, request, name, window):
+        from loopsv import Cocycle
+
+        alg = request.getfixturevalue(name)
+        keys = alg.window_keys(window)
+        f = rand_functional(alg, random.Random(31), window, terms=8)
+
+        def coboundary_formula(k1, k2):  # f([x, y])
+            t = alg.structure(k1, k2)
+            return ZERO if t is None else t[1] * f.value(t[0])
+
+        phis = {k: make_phi_k(alg, k) for k in (-1, 0, 2)}
+        delta = make_coboundary(alg, f)
+        combo = CombinationCocycle(alg, [(2, phis[0]), (Fraction(-1, 3), delta), (5, phis[-1])])
+        entries = {(a, b): Scalar(i + 1) for i, (a, b) in enumerate(zip(keys, keys[2:]))}
+        table = TableCocycle(alg, entries)
+        assert all(type(phi) is Cocycle for phi in (*phis.values(), delta, combo))
+        assert isinstance(table, Cocycle)
+        for k1 in keys:
+            for k2 in keys:
+                for k, phi in phis.items():
+                    assert phi.value(k1, k2) == phi_k_formula(k, k1, k2)
+                assert delta.value(k1, k2) == coboundary_formula(k1, k2)
+                assert combo.value(k1, k2) == (
+                    2 * phi_k_formula(0, k1, k2)
+                    - coboundary_formula(k1, k2) / 3
+                    + 5 * phi_k_formula(-1, k1, k2)
+                )
+                expected = entries.get((k1, k2), ZERO) - entries.get((k2, k1), ZERO)
+                assert table.value(k1, k2) == expected

@@ -344,6 +344,21 @@ class TestCliFailures:
             (["bracket", "sqrt" + "7" * 4400 + "*L(0,0)", "L(1,0)"], None),
             (["bracket", "9" * 3000 + "*L(1,0)", "9" * 3000 + "*L(2,0)"], None),
             (["bracket", "L(1," + "9" * 4300 + ")", "L(2," + "9" * 4300 + ")"], None),
+            # documents the library refuses while they are loaded: invalid input, not a failed check
+            (["check", "automorphism"], [{"z-flip": 3}]),
+            (["check", "automorphism"], [{"loop-shift": [1, 2]}]),
+            (["check", "automorphism"], [{"char-twist": {"chi": ["0"]}}]),
+            (["check", "automorphism"], [{"loop-scale": "0"}]),
+            (["check", "automorphism"], [{"inner": "L(1,0)"}]),
+            (["check", "automorphism"], [{"scale": "2"}]),
+            (["check", "automorphism"], [{"m-shear": {"table": [["1", 0, 0, "1"], ["2", 0, 0, "2"], ["3", 0, 0, "1"]]}}]),
+            (["factor-automorphism"], [{"m-shear": {"table": [["1", 0, 0, "1"], ["2", 0, 0, "2"], ["3", 0, 0, "1"]]}}]),
+            (["check", "derivation"], {"g": {"table": {"1": "t", "2": "3*t", "3": "t"}}}),
+            (["decompose-derivation"], {"g": {"table": {"1": "t", "2": "3*t", "3": "t"}}}),
+            (["check", "cocycle"], {"table": [["L(1,0)", "L(1,0)", "1"]]}),
+            (["cocycle-class"], {"table": [["L(1,0)", "L(1,0)", "1"]]}),
+            (["check", "cocycle"], {"table": [["L(1,0)", "L(-1,0)", "1"], ["L(-1,0)", "L(1,0)", "1"]]}),
+            (["cocycle-class"], {"table": [["L(1,0)", "L(-1,0)", "1"], ["L(-1,0)", "L(1,0)", "1"]]}),
         ],
     )
     def test_malformed_input_is_usage(self, tmp_path, argv, doc):
@@ -352,6 +367,25 @@ class TestCliFailures:
             path.write_text(json.dumps(doc))
             argv = [*argv, str(path)]
         assert_usage_error(run_cli(*argv, "--gamma-height", "1", "--loop-bound", "0"))
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["grade", "L(1,0)", "--config"], '{"field": {"Q_sqrt": ' + "7" * 4401 + '}, "gamma_generators": ["1"], "s": "1/2"}'),
+            (["cocycle-class"], '{"classes": {"0": ' + "7" * 4401 + "}}"),
+        ],
+        ids=["config", "cocycle"],
+    )
+    def test_integer_past_the_digit_limit_in_json_is_usage(self, tmp_path, argv, text):
+        # written by hand: json.dumps refuses such an integer itself
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert_usage_error(run_cli(*argv, str(path), "--gamma-height", "1", "--loop-bound", "0"))
+
+    def test_check_jacobi_refuses_a_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("{}")
+        assert_usage_error(run_cli("check", "jacobi", str(path), "--gamma-height", "1", "--loop-bound", "0"))
 
     @pytest.mark.parametrize(
         "bounds", [{"gamma_height": 1.9, "loop_bound": 0.5}, {"gamma_height": True, "loop_bound": 0}]

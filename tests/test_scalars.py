@@ -139,3 +139,18 @@ def test_order_compatible_with_addition(x, y):
 def test_squarefree():
     assert is_squarefree(2) and is_squarefree(15)
     assert not is_squarefree(4) and not is_squarefree(12) and not is_squarefree(0)
+
+
+@given(root2s, st.one_of(root2s, st.integers(-30, 30), st.fractions(-30, 30, max_denominator=12)))
+def test_comparisons_follow_the_sign_of_the_difference(x, y):
+    # all four orderings, with an int or Fraction on either side
+    sign = (x - y).sign()
+    assert ((x < y), (x <= y), (x > y), (x >= y)) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+    assert ((y > x), (y >= x), (y < x), (y <= x)) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+
+
+def test_comparison_with_a_float_is_refused():
+    with pytest.raises(TypeError):
+        Scalar(1) <= 1.0
+    with pytest.raises(TypeError):
+        1.0 > Scalar(1)
