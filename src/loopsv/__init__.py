@@ -78,6 +78,7 @@ from .derivations import (
     table_operator,
 )
 from .errors import (
+    DomainError,
     FactorError,
     GroupConfigError,
     GroupMismatchError,

@@ -15,9 +15,20 @@ from dataclasses import dataclass
 from functools import partial
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
-from .derivations import Operator, _fit_affine, _linear_image, _pair_witnesses, operators_agree
+from .derivations import (
+    _NO_POLY,
+    GAffine,
+    Operator,
+    _fit_affine,
+    _linear_image,
+    _m_line,
+    _pair_witnesses,
+    _shear_violation,
+    operators_agree,
+)
 from .errors import FactorError, ShapeError
 from .groups import GroupData
+from .laurent import LaurentPoly
 from .scalars import Scalar, ZERO, ONE, HALF
 
 __all__ = [
@@ -150,135 +161,62 @@ class LoopScale:
         return LoopScale(ONE / self.b)
 
 
-class MShearData:
+def MShearData(diagonals=None, table=None):
     """Coefficients e^k_(alpha,i) for a shear of L into M.
 
-    Canonical form stores one affine pair (u_d, v_d) per loop offset
-    d = k - i, which always satisfies the shear constraint.  A generic table
-    maps (alpha, i, k) to scalars and is validated eagerly on the index box
-    spanned by its support.
+    ``diagonals`` maps a loop offset d = k - i to an affine pair (u_d, v_d)
+    and gives the derivation's data GAffine(sum u_d t^d, sum v_d t^d), which
+    always satisfies the shear constraint.  ``table`` maps (alpha, i, k) to
+    scalars; it is checked on the index box spanned by its support, missing
+    entries counting as zero.
     """
+    if (diagonals is None) == (table is None):
+        raise ValueError("give exactly one of diagonals or table")
+    if diagonals is not None:
+        return GAffine(
+            LaurentPoly({d: u for d, (u, v) in diagonals.items()}),
+            LaurentPoly({d: v for d, (u, v) in diagonals.items()}),
+        )
+    offsets: dict = {}
+    for (gamma, i, k), val in table.items():
+        if Scalar.of(val):
+            offsets.setdefault((Scalar.of(gamma), int(i)), {})[int(k) - int(i)] = val
+    data = _ShearTable({at: LaurentPoly(line) for at, line in offsets.items()})
+    gammas = sorted({g for g, _ in data.lines}, key=lambda x: (abs(x), x.sign()))
+    starts = {i for _, i in data.lines}
+    loops = sorted(starts | {i + d for (_, i), line in data.lines.items() for d, _ in line.items()})
+    bad = _shear_violation(gammas, loops, lambda gamma, i, k: data._line(gamma, i).coefficient(k - i))
+    if bad is not None:
+        raise ShapeError("shear table violates the shear constraint", witness=bad)
+    return data
 
-    def __init__(self, diagonals=None, table=None):
-        if (diagonals is None) == (table is None):
-            raise ValueError("give exactly one of diagonals or table")
-        self.diagonals = None
-        self.table = None
-        if diagonals is not None:
-            cleaned = {}
-            for d, (u, v) in diagonals.items():
-                u, v = Scalar.of(u), Scalar.of(v)
-                if u or v:
-                    cleaned[int(d)] = (u, v)
-            self.diagonals = cleaned
-        else:
-            cleaned = {}
-            for (gamma, i, k), val in table.items():
-                val = Scalar.of(val)
-                if val:
-                    cleaned[(Scalar.of(gamma), int(i), int(k))] = val
-            self.table = cleaned
-            self._validate_table()
 
-    def _validate_table(self):
-        # A finite table can only describe a shear on the box it spans, so
-        # the constraint is checked where all three indices land inside the
-        # declared support; missing entries count as zero.
-        gammas = sorted({g for g, _, _ in self.table}, key=lambda x: (abs(x), x.sign()))
-        loops = sorted({i for _, i, _ in self.table} | {k for _, _, k in self.table})
-        support = set(gammas)
-        for a in gammas:
-            for b in gammas:
-                tot = a + b
-                if tot not in support:
-                    continue
-                for i in loops:
-                    for j in loops:
-                        for k in loops:
-                            lhs = (b - a) * self.value(tot, i + j, k)
-                            rhs = b * self.value(b, j, k - i) - a * self.value(a, i, k - j)
-                            if lhs != rhs:
-                                raise ShapeError(
-                                    "shear table violates the shear constraint",
-                                    witness=(a, b, i, j, k),
-                                )
+@dataclass(frozen=True)
+class _ShearTable:
+    """Shear polynomials in the loop offset k - i, one per (alpha, i); absent ones are zero."""
 
-    def value(self, gamma, i: int, k: int) -> Scalar:
-        gamma = Scalar.of(gamma)
-        if self.diagonals is not None:
-            pair = self.diagonals.get(k - i)
-            if pair is None:
-                return ZERO
-            u, v = pair
-            return u * gamma + v
-        return self.table.get((gamma, i, k), ZERO)
+    lines: dict
 
-    def is_canonical(self) -> bool:
-        return self.diagonals is not None
+    def _line(self, gamma: Scalar, loop: int) -> LaurentPoly:
+        return self.lines.get((gamma, loop), _NO_POLY)
 
     def __neg__(self):
-        if self.diagonals is not None:
-            return MShearData(diagonals={d: (-u, -v) for d, (u, v) in self.diagonals.items()})
-        return MShearData(table={key: -v for key, v in self.table.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, MShearData):
-            return NotImplemented
-        if self.diagonals is not None and other.diagonals is not None:
-            out = dict(self.diagonals)
-            for d, (u, v) in other.diagonals.items():
-                pu, pv = out.get(d, (ZERO, ZERO))
-                out[d] = (pu + u, pv + v)
-            return MShearData(diagonals=out)
-        if self.table is not None and other.table is not None:
-            out = dict(self.table)
-            for key, v in other.table.items():
-                out[key] = out.get(key, ZERO) + v
-            return MShearData(table=out)
-        raise ValueError("cannot mix canonical and table shear data")
-
-    def __eq__(self, other):
-        if not isinstance(other, MShearData):
-            return NotImplemented
-        return self.diagonals == other.diagonals and self.table == other.table
-
-    def describe(self) -> dict:
-        if self.diagonals is not None:
-            return {
-                "diagonals": {str(d): [str(u), str(v)] for d, (u, v) in sorted(self.diagonals.items())}
-            }
-        return {
-            "table": [
-                [str(g), i, k, str(v)]
-                for (g, i, k), v in sorted(self.table.items(), key=lambda kv: (str(kv[0][0]), kv[0][1], kv[0][2]))
-            ]
-        }
+        return _ShearTable({at: -line for at, line in self.lines.items()})
 
 
 @dataclass(frozen=True)
 class MShear:
-    """Shear L(alpha,i) by adding e^k_(alpha,i) M(alpha,k); fixes M and Y."""
+    """exp(D_g) = 1 + D_g: L(alpha,i) gains e^k_(alpha,i) M(alpha,k); fixes M and Y."""
 
-    data: MShearData
+    data: GAffine | _ShearTable
 
     def validate(self, alg: LoopAlgebra):
         pass
 
     def apply_key(self, alg: LoopAlgebra, key: BasisKey) -> Element:
-        out = alg.monomial(key)
         if key.kind != "L":
-            return out
-        terms = {}
-        if self.data.diagonals is not None:
-            for d, (u, v) in self.data.diagonals.items():
-                coeff = u * key.gamma + v
-                if coeff:
-                    terms[alg.key("M", key.gamma, key.loop + d)] = coeff
-        else:
-            for (gamma, i, k), coeff in self.data.table.items():
-                if gamma == key.gamma and i == key.loop:
-                    terms[alg.key("M", gamma, k)] = coeff
-        return out + Element(alg.group, terms)
+            return alg.monomial(key)
+        return Element(alg.group, {key: ONE, **_m_line(alg, self.data._line(key.gamma, key.loop), key)})
 
     def inverse(self) -> "MShear":
         return MShear(-self.data)
@@ -402,25 +340,19 @@ def fold_tuple_params(group: GroupData, first: tuple, second: tuple) -> tuple:
     return (a, tuple(shifts), tuple(chi), r1 * r2, e1 * e2, b1 * b2**e1)
 
 
-def conjugated_shear(
-    group: GroupData, a, shifts, chi, r, eps: int, b, e: MShearData
-) -> MShearData:
+def conjugated_shear(group: GroupData, a, shifts, chi, r, eps: int, b, e: GAffine) -> GAffine:
     """Shear data d with psi_d = P^(-1) psi_e P for the canonical tuple word P.
 
-    In canonical form the rule collapses diagonal-wise: the offset dd picks
-    the source diagonal eps*dd, scaled by 1/(r^2 b^dd) and, on the linear
-    part, by 1/a.
+    The rule acts term by term: t^m moves to t^dd with dd = eps*m, scaled by
+    1/(r^2 b^dd), and the linear part u is scaled by 1/a as well.
     """
-    if not e.is_canonical():
-        raise ValueError("conjugation formula needs canonical shear data")
     a, r, b = Scalar.of(a), Scalar.of(r), Scalar.of(b)
     c_inv = ONE / (r * r)
-    out = {}
-    for m, (u, v) in e.diagonals.items():
-        dd = eps * m
-        scale = c_inv * b ** (-dd)
-        out[dd] = (scale * u / a, scale * v)
-    return MShearData(diagonals=out)
+
+    def moved(poly: LaurentPoly) -> LaurentPoly:
+        return LaurentPoly({eps * m: c_inv * b ** (-eps * m) * c for m, c in poly.items()})
+
+    return GAffine(moved(e.u) * (ONE / a), moved(e.v))
 
 
 @dataclass
@@ -437,7 +369,7 @@ class FactoredAutomorphism:
     r: Scalar
     eps: int
     b: Scalar
-    e: MShearData
+    e: GAffine
     inner: tuple
 
     def to_word(self, alg: LoopAlgebra) -> Word:
@@ -447,6 +379,8 @@ class FactoredAutomorphism:
         return Word(alg, gens)
 
     def describe(self) -> dict:
+        e = self.e
+        offsets = sorted({d for d, _ in e.u.items()} | {d for d, _ in e.v.items()})
         return {
             "a": str(self.a),
             "phi": list(self.shifts),
@@ -454,7 +388,7 @@ class FactoredAutomorphism:
             "r": str(self.r),
             "eps": self.eps,
             "b": str(self.b),
-            "e": self.e.describe(),
+            "e": {"diagonals": {str(d): [str(e.u.coefficient(d)), str(e.v.coefficient(d))] for d in offsets}},
             "inner": [str(x) for x in self.inner],
             "residual": "0",
         }
@@ -563,35 +497,32 @@ def factor(alg: LoopAlgebra, sigma: Operator, window: Window) -> FactoredAutomor
 
     unipotent = Word(alg, [Inner(x_y), Inner(x_lin), Inner(x_quad)])
 
-    # shear coefficients: tau = (inner word) then MShear(e), so e is read off
-    # the M-part surplus of tau over the inner word on L keys
-    diag_values: dict = {}
+    # shear: tau = (inner word) then MShear(e), so the shear polynomial of
+    # each L key is the M-part surplus of tau over the inner word, read as a
+    # Laurent line in the loop offset; it must not depend on the loop index
+    lines: dict = {}
     for key in alg.window_keys(window):
         if key.kind != "L":
             continue
         diff = tau_map(key) - unipotent.apply_key(key)
+        offsets = {}
         for out_key, coeff in diff.terms.items():
             if out_key.kind != "M" or out_key.gamma != key.gamma:
                 raise FactorError("shear", f"residual at {key} contains {out_key}", witness=key)
-            # one window key and one offset name one M key, so each (gamma, loop) is set once
-            diag_values.setdefault(out_key.loop - key.loop, {})[(key.gamma, key.loop)] = coeff
-
-    diagonals = {}
-    for d, bucket in diag_values.items():
-        by_gamma: dict = {}
-        for (gamma, loop), coeff in bucket.items():
-            prev = by_gamma.get(gamma)
-            if prev is not None and prev != coeff:
-                raise FactorError(
-                    "shear", f"shear value at offset {d} depends on the loop index", witness=(gamma, loop)
-                )
-            by_gamma[gamma] = coeff
-        u, v, off = _fit_affine(by_gamma, ZERO)
-        if off is not None:
-            raise FactorError("shear", f"shear values at offset {d} are not affine", witness=off)
-        if u or v:
-            diagonals[d] = (u, v)
-    e = MShearData(diagonals=diagonals)
+            offsets[out_key.loop - key.loop] = coeff
+        line = LaurentPoly(offsets)
+        prev = lines.setdefault(key.gamma, line)
+        if line != prev:
+            raise FactorError(
+                "shear",
+                f"shear value at offset {_lowest_offset(line - prev)} depends on the loop index",
+                witness=(key.gamma, key.loop),
+            )
+    u, v, off = _fit_affine(lines, _NO_POLY)
+    e = GAffine(u, v)
+    if off is not None:
+        d = _lowest_offset(e.value(off) - lines[off])
+        raise FactorError("shear", f"shear values at offset {d} are not affine", witness=off)
 
     inner = tuple(x for x in (x_y, x_lin, x_quad) if x)
     result = FactoredAutomorphism(a, tuple(shifts), tuple(chi), r, eps, b, e, inner)
@@ -599,6 +530,10 @@ def factor(alg: LoopAlgebra, sigma: Operator, window: Window) -> FactoredAutomor
     if witness is not None:
         raise FactorError("recompose", f"factored word disagrees at {witness}", witness=witness)
     return result
+
+
+def _lowest_offset(poly: LaurentPoly) -> int:
+    return poly.items()[0][0]
 
 
 def iso_test(g1: GroupData, g2: GroupData, height: int = 4) -> Scalar | None:

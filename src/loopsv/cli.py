@@ -3,7 +3,8 @@
 One subcommand per operation, one process per run.  Configuration comes
 from --config, the LSV_CONFIG environment variable, or the built-in default
 group (Gamma = Z, s = 1/2); window flags override the config.  Exit codes:
-0 pass, 1 fail with witnesses, 2 usage or configuration trouble.
+0 pass, 1 fail with witnesses, 2 usage or configuration trouble, which
+includes an input or window the command cannot work on.
 
 Everything printed is an exact string; --json wraps the same data in a
 report object {"status", "payload", "witnesses"}.  Output for fixed inputs
@@ -55,7 +56,7 @@ from .derivations import (
     operators_agree,
     reduce_nonzero_degree,
 )
-from .errors import FactorError, GroupConfigError, LsvError, NotACocycleError, ShapeError
+from .errors import DomainError, FactorError, GroupConfigError, LsvError, NotACocycleError, ShapeError
 from .groups import GroupData
 from .laurent import LaurentPoly
 from .parser import parse_element, parse_key, parse_laurent
@@ -192,7 +193,7 @@ def derivation_from_doc(alg: LoopAlgebra, doc: dict) -> Operator:
     return CanonicalDerivation(rho, f, g, b, inner if inner else None).to_operator(alg)
 
 
-def _shear_from_doc(alg: LoopAlgebra, doc: dict) -> MShearData:
+def _shear_from_doc(alg: LoopAlgebra, doc: dict):
     group = alg.group
     if isinstance(doc, dict) and "diagonals" in doc:
         diagonals = {}
@@ -538,6 +539,9 @@ def main(argv=None) -> int:
     try:
         alg, window = _load_context(args)
         return args.handler(alg, window, args)
+    except DomainError as exc:  # the input or window does not fit the command: usage trouble
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (FactorError, ShapeError, NotACocycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
-from .errors import NotACocycleError, ShapeError
+from .errors import DomainError, NotACocycleError, ShapeError
 from .scalars import Scalar, ZERO, ONE, _signed_sum
 
 __all__ = [
@@ -342,7 +342,7 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
             raise ShapeError(f"{pivot} is not an admissible extraction pivot")
         pivots = [pivot] + [p for p in pivots if p != pivot]
     if not pivots:
-        raise ShapeError("window has no admissible extraction pivot")
+        raise DomainError("window has no admissible extraction pivot")
     a0 = pivots[0]
     four_s_sq = (s + s) * (s + s)
     denom0 = a0 * (a0 * a0 - four_s_sq)

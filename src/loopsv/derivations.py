@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .groups import GroupData
 from .laurent import LaurentPoly
 from .scalars import Scalar, ZERO, ONE, HALF
@@ -112,7 +112,7 @@ def table_operator(alg: LoopAlgebra, table: dict, degree=None) -> Operator:
         try:
             return table[key]
         except KeyError:
-            raise ShapeError(f"operator table has no entry for {key}", witness=key) from None
+            raise DomainError(f"operator table has no entry for {key}", witness=key) from None
 
     return Operator(alg, fn, degree)
 
@@ -144,13 +144,48 @@ class HomToLaurent:
 
 @dataclass(frozen=True)
 class GAffine:
-    """Shear data alpha -> u*alpha + v, always a valid constraint solution."""
+    """Shear data alpha -> u*alpha + v, always a valid constraint solution.
+
+    The same data is the shear automorphism exp(D_g) = 1 + D_g, as D_g^2 = 0.
+    """
 
     u: LaurentPoly
     v: LaurentPoly
 
     def value(self, gamma: Scalar) -> LaurentPoly:
         return self.u * gamma + self.v
+
+    def _line(self, gamma: Scalar, loop: int) -> LaurentPoly:
+        # the shear polynomial of L(gamma, loop); affine data ignores the loop index
+        return self.value(gamma)
+
+    def __add__(self, other):
+        if not isinstance(other, GAffine):
+            return NotImplemented
+        return GAffine(self.u + other.u, self.v + other.v)
+
+    def __neg__(self):
+        return GAffine(-self.u, -self.v)
+
+
+def _shear_violation(gammas, loops, e):
+    """First (a, b, i, j, k) breaking the shear constraint, or None.
+
+    The constraint is (b-a) e(a+b, i+j, k) = b e(b, j, k-i) - a e(a, i, k-j),
+    checked for a, b and a+b in ``gammas`` and i, j, k in ``loops``.
+    """
+    support = set(gammas)
+    for a in gammas:
+        for b in gammas:
+            tot = a + b
+            if tot not in support:
+                continue
+            for i in loops:
+                for j in loops:
+                    for k in loops:
+                        if (b - a) * e(tot, i + j, k) != b * e(b, j, k - i) - a * e(a, i, k - j):
+                            return (a, b, i, j, k)
+    return None
 
 
 class GTable:
@@ -163,25 +198,15 @@ class GTable:
 
     def __init__(self, values: dict):
         self.values = {Scalar.of(k): v for k, v in values.items()}
-        gammas = list(self.values)
-        for a in gammas:
-            for b in gammas:
-                tot = a + b
-                if tot not in self.values:
-                    continue
-                lhs = (b - a) * self.values[tot]
-                rhs = b * self.values[b] - a * self.values[a]
-                if lhs != rhs:
-                    raise ShapeError(
-                        "shear table violates the compatibility relation",
-                        witness=(a, b),
-                    )
+        bad = _shear_violation(list(self.values), (0,), lambda gamma, i, k: self.values[gamma])
+        if bad is not None:
+            raise ShapeError("shear table violates the compatibility relation", witness=bad[:2])
 
     def value(self, gamma: Scalar) -> LaurentPoly:
         try:
             return self.values[Scalar.of(gamma)]
         except KeyError:
-            raise ShapeError(f"shear table has no value at {gamma}") from None
+            raise DomainError(f"shear table has no value at {gamma}") from None
 
     def __eq__(self, other):
         if isinstance(other, GTable):
@@ -197,15 +222,19 @@ def _degree0_row(alg: LoopAlgebra, rho, f: HomToLaurent, g, b, key: BasisKey) ->
     """
     kind, gamma, loop = key.kind, key.gamma, key.loop
     poly = (loop * rho).shift(-1) + f.value(alg.group, gamma)
-    terms = {}
     if kind == "L":
-        for e, c in g.value(gamma).items():
-            terms[alg.key("M", gamma, loop + e)] = c
+        terms = _m_line(alg, g.value(gamma), key)
     else:
+        terms = {}
         poly = poly + (b if kind == "M" else HALF * b)
     for e, c in poly.items():
         terms[alg.key(kind, gamma, loop + e)] = c
     return Element(alg.group, terms)
+
+
+def _m_line(alg: LoopAlgebra, poly: LaurentPoly, key: BasisKey) -> dict:
+    """The t^e terms of a shear polynomial at an L key, written onto M(gamma, i+e)."""
+    return {alg.key("M", key.gamma, key.loop + e): c for e, c in poly.items()}
 
 
 _NO_POLY = LaurentPoly.zero()

@@ -12,6 +12,7 @@ __all__ = [
     "GroupMismatchError",
     "InvalidKeyError",
     "ShapeError",
+    "DomainError",
     "FactorError",
     "NotACocycleError",
     "OutputError",
@@ -45,6 +46,11 @@ class ShapeError(LsvError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class DomainError(ShapeError):
+    """A value was asked for where the data is not defined, or the window is too
+    small for the computation: the input does not fit, no check failed."""
 
 
 class FactorError(LsvError):

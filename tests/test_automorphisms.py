@@ -8,8 +8,10 @@ import pytest
 from loopsv import (
     CharTwist,
     FactorError,
+    GAffine,
     GroupData,
     Inner,
+    LaurentPoly,
     LoopScale,
     LoopShift,
     MShear,
@@ -27,6 +29,7 @@ from loopsv import (
     factor,
     fold_tuple_params,
     iso_test,
+    make_D_g,
     make_ad,
     operators_agree,
     tuple_word,
@@ -294,6 +297,73 @@ class TestFactor:
         assert set(doc) == {"a", "phi", "chi", "r", "eps", "b", "e", "inner", "residual"}
         assert doc["eps"] == -1
         assert doc["e"] == {"diagonals": {}}
+
+
+class TestShearData:
+    """An m-shear is exp(D_g) = 1 + D_g; its table form is read per (gamma, loop)."""
+
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
+    def test_shear_row_is_key_plus_D_g_row(self, alg, root2_alg, field):
+        rng = random.Random(83)
+        if field == "Q":
+            on, window, scalars = alg, Window(2, 1), [0, 1, -2, Fraction(1, 2), Fraction(-3, 2)]
+        else:
+            sqrt2 = root2_alg.group.parse_scalar("sqrt2")
+            on, window = root2_alg, Window(1, 1)
+            scalars = [Scalar(0), Scalar(1), Scalar(-2), sqrt2, Scalar.of(Fraction(1, 2)) - sqrt2]
+        keys = on.window_keys(window)
+        for _ in range(20):
+            diagonals = {
+                d: (rng.choice(scalars), rng.choice(scalars))
+                for d in rng.sample(range(-2, 3), rng.randrange(1, 4))
+            }
+            shear = Word(on, [MShear(MShearData(diagonals=diagonals))])
+            g = GAffine(
+                LaurentPoly({d: u for d, (u, v) in diagonals.items()}),
+                LaurentPoly({d: v for d, (u, v) in diagonals.items()}),
+            )
+            D = make_D_g(on, g)
+            for key in keys:
+                assert shear.apply_key(key) == on.monomial(key) + D.apply_key(key)
+
+    def test_loop_dependent_table_matches_an_entry_scan(self, alg):
+        # no two indices of the support sum into it, so the constraint checks nothing
+        raw = {
+            (1, 0, 0): 1,
+            (1, 0, 2): -2,
+            (1, 1, -1): Fraction(1, 2),
+            (1, 1, 1): 0,
+            (-1, -1, 0): 3,
+            (3, 0, 1): 2,
+        }
+        shear = Word(alg, [MShear(MShearData(table=raw))])
+        for key in alg.window_keys(Window(3, 2)):
+            surplus = alg.zero()
+            if key.kind == "L":
+                for (gamma, i, k), coeff in raw.items():
+                    if key.gamma == gamma and key.loop == i:
+                        surplus = surplus + alg.monomial(alg.key("M", gamma, k), coeff)
+            assert shear.apply_key(key) == alg.monomial(key) + surplus
+            assert shear.inverse().apply_key(key) == alg.monomial(key) - surplus
+
+    @pytest.mark.parametrize(
+        "table, witness",
+        [
+            ({(1, 0, 0): 1, (2, 0, 0): 2, (3, 0, 0): 1}, (Scalar(1), Scalar(2), 0, 0, 0)),
+            ({(1, 0, 0): 1, (1, 0, 1): 2, (2, 0, 1): 3, (3, 1, 1): 1}, (Scalar(1), Scalar(1), 0, 1, 1)),
+        ],
+    )
+    def test_violating_table_names_its_witness(self, table, witness):
+        with pytest.raises(ShapeError, match="^shear table violates the shear constraint$") as err:
+            MShearData(table=table)
+        assert err.value.witness == witness
+
+    def test_factor_refuses_a_loop_dependent_table_at_the_shear_step(self, alg):
+        word = Word(alg, [MShear(MShearData(table={(1, 0, 0): 1}))])
+        with pytest.raises(FactorError, match="shear value at offset 0 depends on the loop index") as err:
+            factor(alg, word, Window(2, 1))
+        assert err.value.step == "shear"
+        assert err.value.witness == (Scalar(1), 0)  # the line at L(1,-1) is zero
 
 
 class TestIso:

@@ -320,6 +320,12 @@ class TestGTable:
         with pytest.raises(ShapeError):
             GTable(values)
 
+    def test_violation_names_the_first_pair_in_table_order(self, alg):
+        values = {Scalar(2): poly(alg, "3*t"), Scalar(1): poly(alg, "t"), Scalar(3): poly(alg, "t")}
+        with pytest.raises(ShapeError, match="^shear table violates the compatibility relation$") as err:
+            GTable(values)
+        assert err.value.witness == (Scalar(2), Scalar(1))
+
     def test_lookup_outside_support_raises(self, alg):
         table = GTable({Scalar(1): poly(alg, "t")})
         with pytest.raises(ShapeError):

@@ -288,7 +288,7 @@ class TestCliBehavior:
         report = json.loads(proc.stdout)
         from loopsv import GroupData, LoopAlgebra
 
-        alg = LoopAlgebra(GroupData.from_config(json.load(open(configs["root2.json"]))))
+        alg = LoopAlgebra(GroupData.from_config(json.loads(Path(configs["root2.json"]).read_text())))
         n = len(alg.window_keys(Window(1, 1)))
         assert report["payload"]["triples"] == n * (n + 1) * (n + 2) // 6
 
@@ -359,6 +359,11 @@ class TestCliFailures:
             (["cocycle-class"], {"table": [["L(1,0)", "L(1,0)", "1"]]}),
             (["check", "cocycle"], {"table": [["L(1,0)", "L(-1,0)", "1"], ["L(-1,0)", "L(1,0)", "1"]]}),
             (["cocycle-class"], {"table": [["L(1,0)", "L(-1,0)", "1"], ["L(-1,0)", "L(1,0)", "1"]]}),
+            # inputs the window is too small for, or data undefined where the command looks
+            (["cocycle-class"], {"classes": {"0": "1"}}),
+            (["decompose-derivation"], {"b": "t"}),
+            (["check", "derivation"], {"g": {"table": {"1": "t"}}}),
+            (["decompose-derivation"], {"g": {"table": {"1": "t"}}}),
         ],
     )
     def test_malformed_input_is_usage(self, tmp_path, argv, doc):
