@@ -168,22 +168,29 @@ class GAffine:
         return GAffine(-self.u, -self.v)
 
 
-def _shear_violation(gammas, loops, e):
-    """First (a, b, i, j, k) breaking the shear constraint, or None.
+def _shear_terms(a, b, i, j, k) -> tuple:
+    """The shear constraint (b-a) e(a+b, i+j, k) = b e(b, j, k-i) - a e(a, i, k-j).
 
-    The constraint is (b-a) e(a+b, i+j, k) = b e(b, j, k-i) - a e(a, i, k-j),
-    checked for a, b and a+b in ``gammas`` and i, j, k in ``loops``.
+    Returned as (coefficient, (gamma, i, k)) terms that sum to zero, all on the diagonal k - i - j.
+    """
+    return ((b - a, (a + b, i + j, k)), (-b, (b, j, k - i)), (a, (a, i, k - j)))
+
+
+def _shear_violation(gammas, loops, e):
+    """First (a, b, i, j, k) whose ``_shear_terms``, evaluated through e, do not sum to zero.
+
+    Checked for a, b and a+b in ``gammas`` and i, j, k in ``loops``; None if there is none.
     """
     support = set(gammas)
     for a in gammas:
         for b in gammas:
-            tot = a + b
-            if tot not in support:
+            if a + b not in support:
                 continue
             for i in loops:
                 for j in loops:
                     for k in loops:
-                        if (b - a) * e(tot, i + j, k) != b * e(b, j, k - i) - a * e(a, i, k - j):
+                        t0, t1, t2 = (c * e(*at) for c, at in _shear_terms(a, b, i, j, k))
+                        if t0 + t1 + t2:
                             return (a, b, i, j, k)
     return None
 
@@ -404,9 +411,10 @@ def canonical_decompose_degree0(alg: LoopAlgebra, D: Operator, window: Window) -
     group = alg.group
     gammas, _ = alg.group.window_gammas(window)
 
-    img = D.apply_key(alg.key("L", ZERO, 1))
-    parts = _split_parts(img, ZERO, ("L", "M"), 1, "D(L(0,1))")
-    rho = parts["L"].shift(1)
+    rho = LaurentPoly.zero()  # D_rho kills every loop-0 key: loop bound 0 reads rho as 0
+    if window.loop_bound:
+        img = D.apply_key(alg.key("L", ZERO, 1))
+        rho = _split_parts(img, ZERO, ("L", "M"), 1, "D(L(0,1))")["L"].shift(1)
 
     f_at: dict = {}
     g_at: dict = {}

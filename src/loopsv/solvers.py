@@ -1,20 +1,21 @@
 """Exact linear algebra over the scalar field, and two solution spaces.
 
-The constraint systems solved here are small and dense enough that plain
-Gauss-Jordan elimination with exact scalars is the right tool.  The two
+``nullspace`` eliminates sparse rows into a reduced echelon form.  The two
 entry points compute, on a finite window, the space of functions g with
 
     (beta - alpha) g(alpha + beta) = beta g(beta) - alpha g(alpha)
 
 once over the group index alone (the loop-diagonal system at loop bound 0),
-and once per loop diagonal with the loop index carried along.  Both spaces
-are expected to collapse to the affine family u*index + v; the tests pin
-that down rather than assume it.
+and once per loop diagonal with the loop index carried along; their rows
+come from ``derivations._shear_terms``.  Both spaces are expected to
+collapse to the affine family u*index + v; the tests pin that down rather
+than assume it.
 """
 
 from __future__ import annotations
 
 from .algebra import Window
+from .derivations import _shear_terms
 from .groups import GroupData
 from .scalars import ZERO, ONE
 
@@ -26,38 +27,42 @@ __all__ = [
 
 
 def nullspace(rows: list, ncols: int) -> list:
-    """Basis of the right nullspace of the given rows (lists of scalars)."""
-    mat = [list(row) for row in rows if any(row)]
-    pivots: dict = {}
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    """Basis of the right nullspace of the given rows (lists of ``ncols`` scalars).
+
+    Rows join a reduced echelon form one at a time, as dicts of their nonzeros.
+    """
+    echelon: dict = {}  # pivot column -> its row: pivot 1, zero at every other pivot
+    for dense in rows:
+        if len(dense) != ncols:
+            raise ValueError(f"row of length {len(dense)} in a system of {ncols} columns")
+        row = {c: v for c, v in enumerate(dense) if v}
+        for col in [c for c in row if c in echelon]:
+            _add_multiple(row, -row[col], echelon[col])
+        if not row:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = ONE / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots[col] = r
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+        pivot = min(row)
+        inv = ONE / row[pivot]
+        row = {c: v * inv for c, v in row.items()}
+        for other in echelon.values():
+            if pivot in other:
+                _add_multiple(other, -other[pivot], row)
+        echelon[pivot] = row
     basis = []
-    for fc in free:
+    for free in (c for c in range(ncols) if c not in echelon):
         vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for col, row in pivots.items():
-            vec[col] = -mat[row][fc]
+        vec[free] = ONE
+        for col, row in echelon.items():
+            vec[col] = -row.get(free, ZERO)
         basis.append(vec)
     return basis
+
+
+def _add_multiple(row: dict, factor, other: dict) -> None:
+    """row += factor * other, in place, dropping entries that cancel."""
+    for c, v in other.items():
+        row[c] = row.get(c, ZERO) + factor * v
+        if not row[c]:
+            del row[c]
 
 
 def g_constraint_space(group: GroupData, window: Window) -> tuple:
@@ -72,50 +77,32 @@ def g_constraint_space(group: GroupData, window: Window) -> tuple:
 def shear_constraint_space(group: GroupData, window: Window) -> tuple:
     """(basis, indices): solutions x[(gamma, i)] of the sheared constraint.
 
-    This is the single-diagonal system.  Equal group indices force loop
-    independence, so those rows are kept even when the combined loop index
-    falls outside the window; rows that would reference an unknown outside
-    the window are dropped instead of being truncated.
+    Each row is the shear constraint at (a, b, i, j) on the diagonal k = i + j,
+    with e(gamma, l, l) read as x[(gamma, l)].  At a = b the sum term has
+    coefficient 0, so those rows force loop independence even at the window
+    boundary; a row that names an unknown outside the window is dropped
+    instead of being truncated.
     """
     gammas, _ = group.window_gammas(window)
     loops = list(window.loops())
-    idx = {}
-    for g in gammas:
-        for i in loops:
-            idx[(g, i)] = len(idx)
-    ncols = len(idx)
+    keys = [(g, i) for g in gammas for i in loops]
+    idx = {key: n for n, key in enumerate(keys)}
     gamma_set = set(gammas)
-    loop_set = set(loops)
     rows = []
-    # equal group indices: the bracket vanishes outright, so these rows do
-    # not touch the sum index and survive even at the window boundary
-    for a in gammas:
-        if not a:
-            continue
-        for n, i in enumerate(loops):
-            for j in loops[n + 1 :]:
-                row = [ZERO] * ncols
-                row[idx[(a, j)]] = a
-                row[idx[(a, i)]] = -a
-                rows.append(row)
     for a in gammas:
         for b in gammas:
-            if a == b:
-                continue
-            tot = a + b
-            if tot not in gamma_set:
+            if a != b and a + b not in gamma_set:
                 continue
             for i in loops:
                 for j in loops:
-                    if i + j not in loop_set:
-                        continue
-                    row = [ZERO] * ncols
-                    row[idx[(tot, i + j)]] = row[idx[(tot, i + j)]] + (b - a)
-                    row[idx[(b, j)]] = row[idx[(b, j)]] - b
-                    row[idx[(a, i)]] = row[idx[(a, i)]] + a
-                    rows.append(row)
-    basis = nullspace(rows, ncols)
-    keys = list(idx)
-    return [
-        {key: vec[idx[key]] for key in keys if vec[idx[key]]} for vec in basis
-    ], keys
+                    row = [ZERO] * len(keys)
+                    for c, (gamma, loop, _) in _shear_terms(a, b, i, j, i + j):
+                        if c:
+                            col = idx.get((gamma, loop))
+                            if col is None:
+                                break
+                            row[col] += c
+                    else:
+                        rows.append(row)
+    basis = nullspace(rows, len(keys))
+    return [{key: v for key, v in zip(keys, vec) if v} for vec in basis], keys

@@ -210,6 +210,14 @@ class TestCliBehavior:
         assert payload["inner"] == "M(1,0) + Y(1/2,2)"
         assert payload["residual"] == "0"
 
+    def test_decompose_at_loop_bound_zero_reads_rho_as_zero(self, tmp_path):
+        # D_rho kills every loop-0 key, so no window key at loop bound 0 sees rho
+        doc = tmp_path / "deriv.json"
+        doc.write_text(json.dumps({"b": "t"}))
+        proc = run_cli("decompose-derivation", str(doc), "--gamma-height", "1", "--loop-bound", "0")
+        assert proc.returncode == 0
+        assert proc.stdout == '{"rho":"0","f":["0"],"g":{"affine":["0","0"]},"b":"t","inner":"0","residual":"0"}\n'
+
     def test_factor_automorphism(self, tmp_path):
         doc = tmp_path / "word.json"
         doc.write_text(
@@ -361,7 +369,6 @@ class TestCliFailures:
             (["cocycle-class"], {"table": [["L(1,0)", "L(-1,0)", "1"], ["L(-1,0)", "L(1,0)", "1"]]}),
             # inputs the window is too small for, or data undefined where the command looks
             (["cocycle-class"], {"classes": {"0": "1"}}),
-            (["decompose-derivation"], {"b": "t"}),
             (["check", "derivation"], {"g": {"table": {"1": "t"}}}),
             (["decompose-derivation"], {"g": {"table": {"1": "t"}}}),
         ],

@@ -1,7 +1,11 @@
 """Exact nullspaces and the two shear constraint systems."""
 
+import random
 from fractions import Fraction
 
+import pytest
+
+from loopsv import GroupData
 from loopsv import Scalar, Window, g_constraint_space, nullspace, shear_constraint_space
 
 ZERO = Scalar(0)
@@ -105,3 +109,131 @@ class TestShearSpace:
     def test_smaller_window_same_picture(self, group, small_window):
         basis, _ = shear_constraint_space(group, small_window)
         assert len(basis) == 2
+
+
+# -- reference solvers ------------------------------------------------------
+#
+# A dense Gauss-Jordan elimination and the shear rows written out by hand:
+# references independent of the sparse eliminator and of the rows built from
+# the one shear formula.  The library must match them exactly.
+
+
+def reference_nullspace(rows, ncols):
+    mat = [list(row) for row in rows if any(row)]
+    pivots = {}
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = ONE / mat[r][col]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots[col] = r
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO] * ncols
+        vec[fc] = ONE
+        for col, row in pivots.items():
+            vec[col] = -mat[row][fc]
+        basis.append(vec)
+    return basis
+
+
+def reference_shear_space(group, window):
+    gammas, _ = group.window_gammas(window)
+    loops = list(window.loops())
+    idx = {(g, i): n for n, (g, i) in enumerate((g, i) for g in gammas for i in loops)}
+    ncols = len(idx)
+    rows = []
+    # equal group indices: loop independence, kept even at the window boundary
+    for a in gammas:
+        if not a:
+            continue
+        for n, i in enumerate(loops):
+            for j in loops[n + 1 :]:
+                row = [ZERO] * ncols
+                row[idx[(a, j)]] = a
+                row[idx[(a, i)]] = -a
+                rows.append(row)
+    for a in gammas:
+        for b in gammas:
+            if a == b or a + b not in gammas:
+                continue
+            for i in loops:
+                for j in loops:
+                    if i + j not in loops:
+                        continue
+                    row = [ZERO] * ncols
+                    row[idx[(a + b, i + j)]] = row[idx[(a + b, i + j)]] + (b - a)
+                    row[idx[(b, j)]] = row[idx[(b, j)]] - b
+                    row[idx[(a, i)]] = row[idx[(a, i)]] + a
+                    rows.append(row)
+    keys = list(idx)
+    basis = [{key: vec[idx[key]] for key in keys if vec[idx[key]]} for vec in reference_nullspace(rows, ncols)]
+    return basis, keys
+
+
+def random_system(rng, field_d):
+    """Rows over Q or Q(sqrt d) with zero, duplicate and dependent rows mixed in."""
+    ncols = rng.randint(1, 6)
+
+    def entry():
+        if rng.random() < 0.4:
+            return ZERO
+        a = s(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        return a + Scalar(0, rng.randint(-2, 2), field_d) if field_d else a
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(0, ncols + 3))]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("zero", "duplicate", "dependent"))
+        if kind == "zero" or not rows:
+            new = [ZERO] * ncols
+        elif kind == "duplicate":
+            new = list(rng.choice(rows))
+        else:
+            c1, c2 = entry(), entry()
+            new = [c1 * x + c2 * y for x, y in zip(rng.choice(rows), rng.choice(rows))]
+        rows.insert(rng.randint(0, len(rows)), new)
+    return rows, ncols
+
+
+@pytest.mark.parametrize("field_d", [0, 2])
+def test_nullspace_matches_dense_reference(field_d):
+    rng = random.Random(9000 + field_d)
+    shapes = set()
+    for _ in range(150):
+        rows, ncols = random_system(rng, field_d)
+        shapes.add(len(rows) > ncols)
+        assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+    assert shapes == {True, False}
+
+
+SOLVER_GROUPS = [
+    ({"field": "Q", "gamma_generators": ["1"], "s": "1/2"}, Window(1, 1)),
+    ({"field": "Q", "gamma_generators": ["1"], "s": "1/2"}, Window(2, 1)),
+    ({"field": "Q", "gamma_generators": ["2"], "s": "1"}, Window(2, 1)),
+    ({"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "sqrt2"], "s": "1/2"}, Window(1, 0)),
+]
+
+
+@pytest.mark.parametrize("doc, window", SOLVER_GROUPS)
+def test_constraint_spaces_match_hand_built_rows(doc, window):
+    group = GroupData.from_config(doc)
+    assert shear_constraint_space(group, window) == reference_shear_space(group, window)
+    basis, keys = reference_shear_space(group, Window(window.gamma_height, 0))
+    expected = [{g: v for (g, _), v in vec.items()} for vec in basis], [g for g, _ in keys]
+    assert g_constraint_space(group, window) == expected
+
+
+@pytest.mark.parametrize("rows", [[[ONE, ONE, ONE]], [[ONE]]], ids=["long", "short"])
+def test_nullspace_refuses_a_row_of_the_wrong_length(rows):
+    with pytest.raises(ValueError, match="columns"):
+        nullspace(rows, 2)
