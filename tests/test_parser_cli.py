@@ -369,6 +369,7 @@ class TestCliFailures:
             (["cocycle-class"], {"table": [["L(1,0)", "L(-1,0)", "1"], ["L(-1,0)", "L(1,0)", "1"]]}),
             # inputs the window is too small for, or data undefined where the command looks
             (["cocycle-class"], {"classes": {"0": "1"}}),
+            (["decompose-derivation"], {"f": ["0", "t"]}),
             (["check", "derivation"], {"g": {"table": {"1": "t"}}}),
             (["decompose-derivation"], {"g": {"table": {"1": "t"}}}),
         ],
