@@ -31,14 +31,19 @@ KINDS = ("L", "M", "Y")
 
 
 class BasisKey:
-    """One basis vector: a kind in {L, M, Y}, a group index, and a loop index."""
+    """One basis vector: a kind in {L, M, Y}, a group index, and a loop index.
 
-    __slots__ = ("kind", "gamma", "loop", "_hash")
+    ``coords`` are the integer coordinates of the group index over the
+    group's T-basis; ``LoopAlgebra.key`` computes them once per key.
+    """
 
-    def __init__(self, kind: str, gamma: Scalar, loop: int):
+    __slots__ = ("kind", "gamma", "loop", "coords", "_hash")
+
+    def __init__(self, kind: str, gamma: Scalar, loop: int, coords: tuple):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "loop", loop)
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_hash", hash((kind, gamma, loop)))
 
     def __setattr__(self, name, value):
@@ -178,7 +183,10 @@ class LoopAlgebra:
 
     def __init__(self, group: GroupData):
         self.group = group
-        self._key_cache: dict[tuple, BasisKey] = {}
+        # (kind, T-coordinates, loop) -> the one key object
+        self._keys: dict[tuple, BasisKey] = {}
+        # (kind pair, coordinates, coordinates) -> the bracket's loop-free part
+        self._parts: dict[tuple, tuple | None] = {}
         self._sc_cache: dict[tuple, tuple | None] = {}
         self._window_cache: dict[Window, list] = {}
         self._table_cache: dict[Window, _SweepTable] = {}
@@ -186,9 +194,12 @@ class LoopAlgebra:
     # -- element constructors ---------------------------------------------------
 
     def key(self, kind: str, gamma, loop: int) -> BasisKey:
+        if not isinstance(loop, int) or isinstance(loop, bool):
+            raise InvalidKeyError(f"the loop index {loop!r} is not an integer")
         gamma = self._scalar(gamma)
-        tag = (kind, gamma, loop)
-        cached = self._key_cache.get(tag)
+        coords = self.group.t_coords(gamma)
+        tag = (kind, coords, loop)
+        cached = self._keys.get(tag)
         if cached is not None:
             return cached
         if kind in ("L", "M"):
@@ -199,8 +210,8 @@ class LoopAlgebra:
                 raise InvalidKeyError(f"{gamma} is not in s+Gamma (required for kind Y)")
         else:
             raise InvalidKeyError(f"unknown kind {kind!r}")
-        made = BasisKey(kind, gamma, int(loop))
-        self._key_cache[tag] = made
+        made = BasisKey(kind, gamma, int(loop), coords)
+        self._keys[tag] = made
         return made
 
     def _scalar(self, value) -> Scalar:
@@ -231,10 +242,26 @@ class LoopAlgebra:
         return out
 
     def _structure(self, k1: BasisKey, k2: BasisKey):
-        pair = k1.kind + k2.kind
+        tag = (k1.kind + k2.kind, k1.coords, k2.coords)
+        try:
+            part = self._parts[tag]
+        except KeyError:
+            part = self._parts[tag] = self._loop_free_part(tag[0], k1, k2)
+        if part is None:
+            return None
+        kind, coeff, coords, gamma = part
+        loop = k1.loop + k2.loop
+        out = self._keys.get((kind, coords, loop))
+        if out is None:
+            out = self.key(kind, gamma, loop)
+        return out, coeff
+
+    @staticmethod
+    def _loop_free_part(pair: str, k1: BasisKey, k2: BasisKey):
+        """The bracket formula: (kind, coefficient, coordinates, index) of the
+        output, or None when the bracket vanishes.  Loop indices only add."""
         if pair in ("MM", "MY", "YM"):
             return None
-        loop = k1.loop + k2.loop
         if pair == "LL":
             coeff = k2.gamma - k1.gamma
             kind = "L"
@@ -255,7 +282,8 @@ class LoopAlgebra:
             kind = "M"
         if not coeff:
             return None
-        return (self.key(kind, k1.gamma + k2.gamma, loop), coeff)
+        coords = tuple(c1 + c2 for c1, c2 in zip(k1.coords, k2.coords))
+        return kind, coeff, coords, k1.gamma + k2.gamma
 
     def bracket(self, x: Element, y: Element) -> Element:
         if x.group is not self.group or y.group is not self.group:
@@ -386,19 +414,19 @@ def _scaled_rows(rows: list, d: int) -> list:
     """Rows of scalars in Q(sqrt d) (or None) as integer pairs ``(a, b)``.
 
     Every pair is its scalar times one denominator common to all the rows.
+    Each scalar object is scaled once, however many entries share it.
     """
+    distinct = {id(c): c for row in rows for c in row if c is not None}
     denom = 1
-    for row in rows:
-        for c in row:
-            if c is not None:
-                if c.d not in (0, d):
-                    raise ValueError(f"{c} lies outside the algebra's field")
-                denom = math.lcm(denom, c.a.denominator, c.b.denominator)
-
-    def scaled(c: Scalar) -> tuple:
-        return c.a.numerator * (denom // c.a.denominator), c.b.numerator * (denom // c.b.denominator)
-
-    return [[None if c is None else scaled(c) for c in row] for row in rows]
+    for c in distinct.values():
+        if c.d not in (0, d):
+            raise ValueError(f"{c} lies outside the algebra's field")
+        denom = math.lcm(denom, c.a.denominator, c.b.denominator)
+    scaled = {
+        i: (c.a.numerator * (denom // c.a.denominator), c.b.numerator * (denom // c.b.denominator))
+        for i, c in distinct.items()
+    }
+    return [[None if c is None else scaled[id(c)] for c in row] for row in rows]
 
 
 def antisymmetry_witnesses(alg: LoopAlgebra, window: Window, limit: int = 10) -> list:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
-from .errors import DomainError, NotACocycleError, ShapeError
+from .errors import DomainError, GroupMismatchError, NotACocycleError, ShapeError
 from .scalars import Scalar, ZERO, ONE, _signed_sum
 
 __all__ = [
@@ -496,6 +496,8 @@ class CentralExtension:
             self.weights = None
         else:
             self.weights = {int(k): Scalar.of(v) for k, v in weights.items() if Scalar.of(v)}
+        # key pair -> (base structure constant, weighted central term (k, w_k*phi_k))
+        self._pair_cache: dict[tuple, tuple] = {}
 
     def weight(self, k: int) -> Scalar:
         if self.weights is None:
@@ -508,23 +510,43 @@ class CentralExtension:
     def C(self, k: int, coeff=1) -> ExtendedElement:
         return ExtendedElement(self.alg.zero(), {int(k): Scalar.of(coeff)})
 
+    def _pair(self, k1: BasisKey, k2: BasisKey) -> tuple:
+        k = k1.loop + k2.loop
+        value = phi_k_value(k, k1, k2) * self.weight(k)
+        return self.alg.structure(k1, k2), ((k, value) if value else None)
+
     def bracket(self, x, y) -> ExtendedElement:
         if isinstance(x, ExtendedElement):
             x = x.element
         if isinstance(y, ExtendedElement):
             y = y.element
-        base = self.alg.bracket(x, y)
+        group = self.alg.group
+        if x.group is not group or y.group is not group:
+            raise GroupMismatchError("bracket operands use a different group configuration")
+        cache = self._pair_cache
+        base: dict = {}
         central: dict = {}
         for k1, c1 in x.terms.items():
             for k2, c2 in y.terms.items():
-                k = k1.loop + k2.loop
-                value = phi_k_value(k, k1, k2)
-                if not value:
+                tag = (k1, k2)
+                try:
+                    sc, term = cache[tag]
+                except KeyError:
+                    sc, term = cache[tag] = self._pair(k1, k2)
+                if sc is None and term is None:
                     continue
-                w = self.weight(k)
-                if w:
-                    central[k] = central.get(k, ZERO) + c1 * c2 * value * w
-        return ExtendedElement(base, central)
+                c = c1 * c2
+                if sc is not None:
+                    key, coeff = sc
+                    add = c * coeff
+                    prev = base.get(key)
+                    base[key] = add if prev is None else prev + add
+                if term is not None:
+                    k, value = term
+                    add = c * value
+                    prev = central.get(k)
+                    central[k] = add if prev is None else prev + add
+        return ExtendedElement(Element(group, base), central)
 
     def jacobi_defect(self, x, y, z) -> ExtendedElement:
         return (

@@ -18,6 +18,7 @@ from loopsv import (
 )
 
 HALF = Scalar(Fraction(1, 2))
+ZERO = Scalar(0)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,10 @@ def test_key_membership_enforced(alg):
         alg.key("Y", 1, 0)
     with pytest.raises(InvalidKeyError):
         alg.key("X", 1, 0)
+    # a loop index must be an int: no rounding, no parsing, no bool
+    for loop in (1.5, Fraction(3, 2), Fraction(2), "2", True):
+        with pytest.raises(InvalidKeyError):
+            alg.key("L", 0, loop)
 
 
 def test_bracket_examples(alg, m):
@@ -160,6 +165,76 @@ def test_element_str_composite_coefficient():
     x = a.monomial(a.key("L", 0, 0), Scalar(1, 1, 2))
     assert str(x) == "(1+sqrt2)*L(0,0)"
     assert str(a.monomial(a.key("L", 0, 0), Scalar(0, 1, 2))) == "sqrt2*L(0,0)"
+
+
+# -- the bracket against the paper's table, written out from the group indices --
+
+BRACKET_GROUPS = {
+    "Q": ({"gamma_generators": ["1"], "s": "1/2"}, Window(2, 2)),
+    "Q(sqrt2)": ({"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "sqrt2"], "s": "1/2"}, Window(1, 1)),
+    "Z+10sqrt2Z": ({"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "10*sqrt2"], "s": "1/2"}, Window(1, 1)),
+}
+
+
+def reference_bracket(k1, k2):
+    """[k1, k2] as (kind, coefficient), from the paper's six nonzero rows."""
+    a, b = k1.gamma, k2.gamma
+    pair = k1.kind + k2.kind
+    if pair == "LL":
+        return "L", b - a
+    if pair == "LM":
+        return "M", b
+    if pair == "ML":
+        return "M", -a
+    if pair == "LY":
+        return "Y", b - a / 2
+    if pair == "YL":
+        return "Y", b / 2 - a
+    if pair == "YY":
+        return "M", b - a
+    return None, ZERO
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_GROUPS))
+def test_structure_matches_bracket_table(name):
+    config, window = BRACKET_GROUPS[name]
+    alg = LoopAlgebra(GroupData.from_config(config))
+    table = alg._sweep_table(window)
+    columns = table.keys[: table.width]
+    for k1 in table.keys[: table.n]:
+        for k2 in columns:
+            kind, coeff = reference_bracket(k1, k2)
+            got = alg._structure(k1, k2)
+            if not coeff:
+                assert got is None, (k1, k2)
+                continue
+            assert got is not None, (k1, k2)
+            assert got[0] is alg.key(kind, k1.gamma + k2.gamma, k1.loop + k2.loop), (k1, k2)
+            assert got[1] == coeff, (k1, k2)
+
+
+class CountingAlgebra(LoopAlgebra):
+    """Records every ``_structure`` call."""
+
+    def __init__(self, group):
+        super().__init__(group)
+        self.calls = []
+
+    def _structure(self, k1, k2):
+        self.calls.append((k1, k2))
+        return super()._structure(k1, k2)
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_GROUPS))
+def test_table_calls_structure_once_per_pair(name):
+    config, window = BRACKET_GROUPS[name]
+    alg = CountingAlgebra(GroupData.from_config(config))
+    alg.window_keys(window)
+    assert alg.calls == []
+    table = alg._sweep_table(window)
+    pairs = {(k1, k2) for k1 in table.keys[: table.n] for k2 in table.keys[: table.width]}
+    assert len(alg.calls) == table.n * table.width
+    assert set(alg.calls) == pairs
 
 
 # -- the window sweeps against reference loops over alg.structure, under injected faults --

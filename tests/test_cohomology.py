@@ -7,7 +7,10 @@ import pytest
 
 from loopsv import (
     CombinationCocycle,
+    GroupData,
+    GroupMismatchError,
     LinearFunctional,
+    LoopAlgebra,
     NotACocycleError,
     Scalar,
     ShapeError,
@@ -265,6 +268,38 @@ class TestCentralExtension:
         # other degrees are switched off
         got = ext.bracket(m2("L", 2, 1), m2("L", -2, 0))
         assert got.central == {}
+
+    @pytest.mark.parametrize("weights", [None, {1: 2, -1: 0}])
+    def test_bracket_matches_reference(self, alg, weights):
+        """Base bracket plus the sum of w_k * phi_k, term pair by term pair."""
+        ext = central_extend(alg, weights)
+        keys = alg.window_keys(Window(2, 1))
+        rng = random.Random(23)
+
+        def full(scale):
+            return alg.element({key: Scalar(rng.randint(-3, 3) * scale) for key in keys})
+
+        for scale in (1, Fraction(1, 2), 1):  # later rounds reuse the cached pairs
+            x, y = full(scale), full(1)
+            central = {}
+            for k1, c1 in x.terms.items():
+                for k2, c2 in y.terms.items():
+                    k = k1.loop + k2.loop
+                    w = ONE if weights is None else Scalar(weights.get(k, 0))
+                    central[k] = central.get(k, ZERO) + c1 * c2 * w * phi_k_formula(k, k1, k2)
+            got = ext.bracket(x, y)
+            assert got.element == alg.bracket(x, y)
+            assert got.central == {k: v for k, v in central.items() if v}
+            assert got.central  # the window reaches the central terms
+
+    def test_bracket_refuses_foreign_operand(self, alg, m2):
+        other = LoopAlgebra(GroupData.default())
+        foreign = other.monomial(other.key("L", 1, 0))
+        ext = central_extend(alg)
+        with pytest.raises(GroupMismatchError):
+            ext.bracket(m2("L", 1, 0), foreign)
+        with pytest.raises(GroupMismatchError):
+            ext.bracket(ext.wrap(foreign), m2("L", 1, 0))
 
     def test_element_arithmetic_and_str(self, alg, m2):
         ext = central_extend(alg)
