@@ -4,8 +4,9 @@ The algebra has basis families L and M indexed by Gamma and Y indexed by the
 shifted coset, each with an integer loop index.  The bracket of two basis
 keys is always zero or a single scalar multiple of another basis key.  The
 element path caches these structure constants per key pair; the window
-sweeps (antisymmetry, Jacobi, and the cocycle identity in ``cohomology``)
-share a table of them compiled to exact integers once per window.
+sweeps (antisymmetry, Jacobi, the cocycle identity in ``cohomology``, and the
+derivation and automorphism checks) share a table of them compiled to exact
+integers once per window.
 """
 
 from __future__ import annotations
@@ -30,6 +31,20 @@ __all__ = [
 KINDS = ("L", "M", "Y")
 
 
+def _nat(n: int) -> int:
+    """The integers one-to-one onto the naturals: 0, -1, 1, -2, ... to 0, 1, 2, 3, ...
+
+    CPython hashes -1 and -2 alike, so hashed tags hold these images in
+    place of signed integers.
+    """
+    return n + n if n >= 0 else -n - n - 1
+
+
+def _tag(kind: str, coords: tuple, loop: int) -> tuple:
+    """The algebra's dict tag of the key (kind, T-coordinates, loop)."""
+    return kind, tuple(map(_nat, coords)), _nat(loop)
+
+
 class BasisKey:
     """One basis vector: a kind in {L, M, Y}, a group index, and a loop index.
 
@@ -44,7 +59,9 @@ class BasisKey:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "loop", loop)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_hash", hash((kind, gamma, loop)))
+        a, b = gamma.a, gamma.b
+        parts = (_nat(a.numerator), a.denominator, _nat(b.numerator), b.denominator, gamma.d, _nat(loop))
+        object.__setattr__(self, "_hash", hash((kind, *parts)))
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisKey is immutable")
@@ -183,7 +200,7 @@ class LoopAlgebra:
 
     def __init__(self, group: GroupData):
         self.group = group
-        # (kind, T-coordinates, loop) -> the one key object
+        # _tag(kind, T-coordinates, loop) -> the one key object
         self._keys: dict[tuple, BasisKey] = {}
         # (kind pair, coordinates, coordinates) -> the bracket's loop-free part
         self._parts: dict[tuple, tuple | None] = {}
@@ -198,10 +215,10 @@ class LoopAlgebra:
             raise InvalidKeyError(f"the loop index {loop!r} is not an integer")
         gamma = self._scalar(gamma)
         coords = self.group.t_coords(gamma)
-        tag = (kind, coords, loop)
-        cached = self._keys.get(tag)
-        if cached is not None:
-            return cached
+        if coords is not None:  # None: gamma lies outside T, which the checks below refuse
+            cached = self._keys.get(_tag(kind, coords, loop))
+            if cached is not None:
+                return cached
         if kind in ("L", "M"):
             if not self.group.in_gamma(gamma):
                 raise InvalidKeyError(f"{gamma} is not in Gamma (required for kind {kind})")
@@ -211,7 +228,7 @@ class LoopAlgebra:
         else:
             raise InvalidKeyError(f"unknown kind {kind!r}")
         made = BasisKey(kind, gamma, int(loop), coords)
-        self._keys[tag] = made
+        self._keys[_tag(kind, coords, loop)] = made
         return made
 
     def _scalar(self, value) -> Scalar:
@@ -249,9 +266,9 @@ class LoopAlgebra:
             part = self._parts[tag] = self._loop_free_part(tag[0], k1, k2)
         if part is None:
             return None
-        kind, coeff, coords, gamma = part
+        kind, coeff, ncoords, gamma = part
         loop = k1.loop + k2.loop
-        out = self._keys.get((kind, coords, loop))
+        out = self._keys.get((kind, ncoords, _nat(loop)))
         if out is None:
             out = self.key(kind, gamma, loop)
         return out, coeff
@@ -259,7 +276,10 @@ class LoopAlgebra:
     @staticmethod
     def _loop_free_part(pair: str, k1: BasisKey, k2: BasisKey):
         """The bracket formula: (kind, coefficient, coordinates, index) of the
-        output, or None when the bracket vanishes.  Loop indices only add."""
+        output, or None when the bracket vanishes.  Loop indices only add.
+
+        The coordinates come as ``_tag`` holds them, each mapped by ``_nat``.
+        """
         if pair in ("MM", "MY", "YM"):
             return None
         if pair == "LL":
@@ -282,8 +302,8 @@ class LoopAlgebra:
             kind = "M"
         if not coeff:
             return None
-        coords = tuple(c1 + c2 for c1, c2 in zip(k1.coords, k2.coords))
-        return kind, coeff, coords, k1.gamma + k2.gamma
+        ncoords = tuple(_nat(c1 + c2) for c1, c2 in zip(k1.coords, k2.coords))
+        return kind, coeff, ncoords, k1.gamma + k2.gamma
 
     def bracket(self, x: Element, y: Element) -> Element:
         if x.group is not self.group or y.group is not self.group:
@@ -358,7 +378,7 @@ class _SweepTable:
     included, so no entry is inferred from another.
     """
 
-    __slots__ = ("keys", "n", "width", "rows", "d", "reached")
+    __slots__ = ("keys", "n", "width", "rows", "d", "denom", "reached")
 
     def __init__(self, alg: LoopAlgebra, window: Window):
         window_keys = alg.window_keys(window)
@@ -386,7 +406,7 @@ class _SweepTable:
         self.keys = keys
         self.n = len(window_keys)
         self.d = alg.group.field_d
-        coeffs = _scaled_rows([[None if t is None else t[1] for t in row] for row in raw], self.d)
+        self.denom, coeffs = _scaled_rows([[None if t is None else t[1] for t in row] for row in raw], self.d)
         self.rows = [
             [None if t is None else (ids[t[0]], *c) for t, c in zip(row, crow)]
             for row, crow in zip(raw, coeffs)
@@ -407,17 +427,18 @@ class _SweepTable:
                 v = value(k1, keys[r])
                 if v:
                     row[r] = v
-        return _scaled_rows(raw, self.d)
+        return _scaled_rows(raw, self.d)[1]
 
 
-def _scaled_rows(rows: list, d: int) -> list:
+def _scaled_rows(rows: list, d: int, denom: int = 1) -> tuple:
     """Rows of scalars in Q(sqrt d) (or None) as integer pairs ``(a, b)``.
 
-    Every pair is its scalar times one denominator common to all the rows.
-    Each scalar object is scaled once, however many entries share it.
+    Returns ``(denom, rows)``: every pair is its scalar times ``denom``, the
+    least common multiple of the given ``denom`` and the scalars'
+    denominators.  Each scalar object is scaled once, however many entries
+    share it.
     """
     distinct = {id(c): c for row in rows for c in row if c is not None}
-    denom = 1
     for c in distinct.values():
         if c.d not in (0, d):
             raise ValueError(f"{c} lies outside the algebra's field")
@@ -426,7 +447,7 @@ def _scaled_rows(rows: list, d: int) -> list:
         i: (c.a.numerator * (denom // c.a.denominator), c.b.numerator * (denom // c.b.denominator))
         for i, c in distinct.items()
     }
-    return [[None if c is None else scaled[id(c)] for c in row] for row in rows]
+    return denom, [[None if c is None else scaled[id(c)] for c in row] for row in rows]
 
 
 def antisymmetry_witnesses(alg: LoopAlgebra, window: Window, limit: int = 10) -> list:

@@ -290,11 +290,7 @@ def automorphism_defect(alg: LoopAlgebra, sigma: Operator, x: Element, y: Elemen
 
 def automorphism_witnesses(alg: LoopAlgebra, sigma: Operator, window: Window, limit: int = 10) -> list:
     """Window key pairs where sigma fails to respect the bracket."""
-
-    def rhs(k1, k2):
-        return alg.bracket(sigma.apply_key(k1), sigma.apply_key(k2))
-
-    return _pair_witnesses(alg, sigma, window, limit, rhs)
+    return _pair_witnesses(alg, sigma, window, limit, leibniz=False)
 
 
 def tuple_word(alg: LoopAlgebra, a, shifts, chi, r, eps: int, b) -> Word:

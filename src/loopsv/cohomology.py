@@ -322,15 +322,10 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
     """
     group = alg.group
     s = group.s
-    keys = alg.window_keys(window)
-    key_set = set(keys)
+    table = alg._sweep_table(window)
+    keys, n = table.keys[: table.n], table.n
 
-    support = set(keys)
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i:]:
-            t = alg.structure(k1, k2)
-            if t is not None:
-                support.add(t[0])
+    support = keys + [table.keys[r] for r in table.reached if r >= n]
     f = normalizing_functional(alg, phi, sorted(support, key=lambda k: k.sort_key()))
 
     prime = CombinationCocycle(alg, [(ONE, phi), (-ONE, make_coboundary(alg, f))]).value
@@ -382,19 +377,22 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
 
     # Diagnostic: after normalization the L-M column must vanish off the
     # diagonal and be proportional to (a^2 - 2 a s) on it
+    # phi minus the classes, less f_tot of the bracket read off the table row
     lm_diag: dict = {}
     residual: list = []
     rest = CombinationCocycle(
-        alg,
-        [(ONE, phi), (-ONE, make_coboundary(alg, f_tot))]
-        + [(-c_k, make_phi_k(alg, k)) for k, c_k in classes.items()],
+        alg, [(ONE, phi)] + [(-c_k, make_phi_k(alg, k)) for k, c_k in classes.items()]
     ).value
-    n = len(keys)
+    d, denom = table.d, Fraction(1, table.denom)
     for i1 in range(n):
-        k1 = keys[i1]
+        k1, row = keys[i1], table.rows[i1]
         for i2 in range(i1 + 1, n):
-            k2 = keys[i2]
+            k2, t = keys[i2], row[i2]
             v = rest(k1, k2)
+            if t is not None:
+                fv = f_tot.value(table.keys[t[0]])
+                if fv:
+                    v = v - Scalar(t[1] * denom, t[2] * denom, d) * fv
             if not v:
                 continue
             if {k1.kind, k2.kind} == {"L", "M"}:
@@ -403,10 +401,7 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
                     lm_diag[(lk.gamma, lk.loop + mk.loop)] = (
                         v if k1.kind == "L" else -v
                     )
-            t = alg.structure(k1, k2)
-            kind = "interior"
-            if t is not None and t[0] not in key_set:
-                kind = "boundary"
+            kind = "boundary" if t is not None and t[0] >= n else "interior"
             residual.append(ResidualEntry((k1, k2), v, kind))
 
     if lm_diag:
@@ -515,24 +510,25 @@ class CentralExtension:
         value = phi_k_value(k, k1, k2) * self.weight(k)
         return self.alg.structure(k1, k2), ((k, value) if value else None)
 
-    def bracket(self, x, y) -> ExtendedElement:
+    def _base(self, x) -> Element:
         if isinstance(x, ExtendedElement):
             x = x.element
-        if isinstance(y, ExtendedElement):
-            y = y.element
-        group = self.alg.group
-        if x.group is not group or y.group is not group:
+        if x.group is not self.alg.group:
             raise GroupMismatchError("bracket operands use a different group configuration")
+        return x
+
+    def _add_bracket(self, x_terms: dict, y_terms: dict, base: dict, central: dict | None) -> None:
+        """Add the bracket of two term dicts into ``base`` and, unless None, ``central``."""
         cache = self._pair_cache
-        base: dict = {}
-        central: dict = {}
-        for k1, c1 in x.terms.items():
-            for k2, c2 in y.terms.items():
+        for k1, c1 in x_terms.items():
+            for k2, c2 in y_terms.items():
                 tag = (k1, k2)
                 try:
                     sc, term = cache[tag]
                 except KeyError:
                     sc, term = cache[tag] = self._pair(k1, k2)
+                if central is None:
+                    term = None
                 if sc is None and term is None:
                     continue
                 c = c1 * c2
@@ -546,14 +542,27 @@ class CentralExtension:
                     add = c * value
                     prev = central.get(k)
                     central[k] = add if prev is None else prev + add
-        return ExtendedElement(Element(group, base), central)
+
+    def bracket(self, x, y) -> ExtendedElement:
+        x, y = self._base(x), self._base(y)
+        base: dict = {}
+        central: dict = {}
+        self._add_bracket(x.terms, y.terms, base, central)
+        return ExtendedElement(Element(self.alg.group, base), central)
 
     def jacobi_defect(self, x, y, z) -> ExtendedElement:
-        return (
-            self.bracket(self.bracket(x, y).element, z)
-            + self.bracket(self.bracket(y, z).element, x)
-            + self.bracket(self.bracket(z, x).element, y)
-        )
+        """[[x, y], z] + [[y, z], x] + [[z, x], y], added up in one base and one central dict.
+
+        Central terms bracket to zero, so each inner bracket keeps only its base part.
+        """
+        x, y, z = self._base(x), self._base(y), self._base(z)
+        base: dict = {}
+        central: dict = {}
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            inner: dict = {}
+            self._add_bracket(u.terms, v.terms, inner, None)
+            self._add_bracket(inner, w.terms, base, central)
+        return ExtendedElement(Element(self.alg.group, base), central)
 
 
 def central_extend(alg: LoopAlgebra, classes: dict | None = None) -> CentralExtension:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .algebra import BasisKey, Element, LoopAlgebra, Window
+from .algebra import BasisKey, Element, LoopAlgebra, Window, _scaled_rows
 from .errors import DomainError, ShapeError
 from .groups import GroupData
 from .laurent import LaurentPoly
@@ -285,32 +285,113 @@ def derivation_defect(alg: LoopAlgebra, D: Operator, x: Element, y: Element) -> 
 
 def derivation_witnesses(alg: LoopAlgebra, D: Operator, window: Window, limit: int = 10) -> list:
     """Window key pairs where the Leibniz rule fails (expected: none)."""
-    mono = {key: alg.monomial(key) for key in alg.window_keys(window)}
-
-    def rhs(k1, k2):
-        return alg.bracket(D.apply_key(k1), mono[k2]) + alg.bracket(mono[k1], D.apply_key(k2))
-
-    return _pair_witnesses(alg, D, window, limit, rhs)
+    return _pair_witnesses(alg, D, window, limit, leibniz=True)
 
 
-def _pair_witnesses(alg: LoopAlgebra, op: Operator, window: Window, limit: int, rhs) -> list:
-    """Window key pairs, k2 at or after k1, where ``op`` of [k1, k2] differs from rhs(k1, k2).
+def _pair_witnesses(alg: LoopAlgebra, op: Operator, window: Window, limit: int, leibniz: bool) -> list:
+    """Window key pairs, k2 at or after k1, where ``op`` of [k1, k2] differs from
+    [op k1, k2] + [k1, op k2] (``leibniz``) or from [op k1, op k2].
 
     Every window row is computed before the sweep starts, so an operator
-    undefined somewhere on the window raises whatever the limit.
+    undefined somewhere on the window raises whatever the limit.  The rows of
+    the keys that window pairs reach follow in the order the sweep meets
+    them; one that raises is raised at the first pair that needs it.
+
+    The sweep runs on integers: the operator rows, the window's cached
+    ``_SweepTable`` and the brackets the table does not hold (from
+    ``alg._structure`` on the ordered pair, once per id pair) are each scaled
+    by one common denominator, as the table is.
     """
-    keys = alg.window_keys(window)
-    for key in keys:
-        op.apply_key(key)
+    table = alg._sweep_table(window)
+    rows, n, width = table.rows, table.n, table.width
+    keys = list(table.keys)
+    ids = {key: i for i, key in enumerate(keys)}
+    images = {i: op.apply_key(keys[i]) for i in range(n)}
+    failure = None
+    for mid in dict.fromkeys(t[0] for i in range(n) for t in rows[i][i:n] if t is not None):
+        if mid not in images:
+            try:
+                images[mid] = op.apply_key(keys[mid])
+            except Exception as exc:  # whatever it is, raised again at the first pair that needs the row
+                failure = exc
+                break
+
+    def id_of(key: BasisKey) -> int:
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(keys)
+            keys.append(key)
+        return i
+
+    # the operator rows as (id, a, b) terms over one denominator o; over Q an
+    # operator may still carry the square root of its own coefficients
+    d = table.d or max((c.d for image in images.values() for c in image.terms.values()), default=0)
+    o, scaled = _scaled_rows([list(image.terms.values()) for image in images.values()], d)
+    image_rows = {
+        i: [(id_of(key), a, b) for key, (a, b) in zip(image.terms, coeffs)]
+        for (i, image), coeffs in zip(images.items(), scaled)
+    }
+    # the right-hand side of (i, j) is the sum over its factor pairs (P, Q) of
+    # [p, q] for p in P and q in Q; ``unit[i]`` is keys[i] itself
+    unit = [((i, o, 0),) for i in range(n)]
+
+    def factors(i: int, j: int) -> tuple:
+        if leibniz:
+            return (image_rows[i], unit[j]), (unit[i], image_rows[j])
+        return ((image_rows[i], image_rows[j]),)
+
+    # the brackets outside the table, once per id pair, over one denominator
+    # that the table's divides
+    missing = {}
+    for i in range(n):
+        for j in range(i, n):
+            for left, right in factors(i, j):
+                for x, _, _ in left:
+                    for y, _, _ in right:
+                        if x >= n or y >= width:
+                            missing[x, y] = None
+    outside = [alg._structure(keys[x], keys[y]) for x, y in missing]
+    denom, scaled = _scaled_rows([[None if t is None else t[1] for t in outside]], d, table.denom)
+    extra = {
+        xy: None if t is None else (id_of(t[0]), *c) for xy, t, c in zip(missing, outside, scaled[0])
+    }
+    f = denom // table.denom
+    if f != 1:
+        rows = [[None if t is None else (t[0], t[1] * f, t[2] * f) for t in row] for row in rows]
+
+    # every term below is an integer pair over o * o * denom
     bad = []
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i:]:
-            t = alg.structure(k1, k2)
-            lhs = alg.zero() if t is None else t[1] * op.apply_key(t[0])
-            if lhs != rhs(k1, k2):
-                bad.append((k1, k2))
-                if len(bad) >= limit:
-                    return bad
+    for i in range(n):
+        row_i = rows[i]
+        for j in range(i, n):
+            acc: dict = {}
+            t = row_i[j]
+            if t is not None:
+                mid, a1, b1 = t
+                image = image_rows.get(mid)
+                if image is None:
+                    raise failure
+                a1, b1 = a1 * o, b1 * o
+                for out, a2, b2 in image:
+                    a, b = acc.get(out, (0, 0))
+                    acc[out] = (a - a1 * a2 - b1 * b2 * d, b - a1 * b2 - a2 * b1)
+            for left, right in factors(i, j):
+                for x, a1, b1 in left:
+                    row_x = rows[x] if x < n else None
+                    for y, a2, b2 in right:
+                        t = row_x[y] if row_x is not None and y < width else extra[x, y]
+                        if t is None:
+                            continue
+                        out, a3, b3 = t
+                        ca, cb = a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1
+                        a, b = acc.get(out, (0, 0))
+                        acc[out] = (a + ca * a3 + cb * b3 * d, b + ca * b3 + cb * a3)
+            for a, b in acc.values():
+                if a or b:
+                    bad.append((keys[i], keys[j]))
+                    if len(bad) >= limit:
+                        return bad
+                    break
     return bad
 
 

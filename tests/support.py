@@ -15,6 +15,7 @@ from loopsv import (
     CharTwist,
     Element,
     GAffine,
+    GroupData,
     CanonicalDerivation,
     HomToLaurent,
     Inner,
@@ -133,6 +134,72 @@ def rand_functional(alg, rng, window, terms=3) -> LinearFunctional:
     for key in rng.sample(pool, min(terms, len(pool))):
         values[key] = rand_scalar(rng, nonzero=True)
     return LinearFunctional(values)
+
+
+# -- algebras with an injected bracket fault, and the windows the sweeps are checked on --
+
+
+class WrongLY(LoopAlgebra):
+    """The [L, Y] coefficient is off by the L index, which may be irrational."""
+
+    def _structure(self, k1, k2):
+        t = super()._structure(k1, k2)
+        if t is not None and k1.kind + k2.kind == "LY":
+            return t[0], t[1] + k1.gamma
+        return t
+
+
+class LoopDependentLL(LoopAlgebra):
+    """The [L, L] coefficient is scaled by 1 + (loop index of the left key)."""
+
+    def _structure(self, k1, k2):
+        t = super()._structure(k1, k2)
+        if t is not None and k1.kind + k2.kind == "LL":
+            return t[0], t[1] * (1 + k1.loop)
+        return t
+
+
+class DividedLL(LoopAlgebra):
+    """The [L, L] coefficient is divided by 1 + (loop index of the left key)^2.
+
+    Brackets of keys past the window's loop bound then carry denominators
+    that no bracket of two window keys has.
+    """
+
+    def _structure(self, k1, k2):
+        t = super()._structure(k1, k2)
+        if t is not None and k1.kind + k2.kind == "LL":
+            return t[0], t[1] / (1 + k1.loop * k1.loop)
+        return t
+
+
+class RescaledBasis(LoopAlgebra):
+    """Every key with a nonzero index scaled by sqrt2.
+
+    This is still a Lie algebra, but its Jacobi identity cancels only
+    because sqrt2 * sqrt2 = 2.
+    """
+
+    def _structure(self, k1, k2):
+        t = super()._structure(k1, k2)
+        if t is None:
+            return None
+
+        def scale(key):
+            return Scalar(0, 1, 2) if key.gamma else Scalar(1)
+
+        return t[0], t[1] * scale(k1) * scale(k2) / scale(t[0])
+
+
+FAULT_WINDOWS = {
+    "Q": (lambda: GroupData.default(), Window(1, 1)),
+    "Q(sqrt2)": (
+        lambda: GroupData.from_config(
+            {"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "sqrt2"], "s": "1/2"}
+        ),
+        Window(1, 0),
+    ),
+}
 
 
 # -- command line -------------------------------------------------------------------

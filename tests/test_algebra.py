@@ -17,6 +17,8 @@ from loopsv import (
     make_phi_k,
 )
 
+from support import FAULT_WINDOWS, LoopDependentLL, RescaledBasis, WrongLY
+
 HALF = Scalar(Fraction(1, 2))
 ZERO = Scalar(0)
 
@@ -237,45 +239,26 @@ def test_table_calls_structure_once_per_pair(name):
     assert set(alg.calls) == pairs
 
 
+@pytest.mark.parametrize(
+    "config, window", [(BRACKET_GROUPS["Q"][0], Window(4, 4)), BRACKET_GROUPS["Q(sqrt2)"]]
+)
+def test_table_keys_hash_apart(config, window):
+    """-1 and -2 hash alike in CPython; no two keys of a table, and no two of the algebra's key tags, may."""
+    alg = LoopAlgebra(GroupData.from_config(config))
+    keys = alg._sweep_table(window).keys
+    assert len({hash(key) for key in keys}) == len(keys)
+    assert len({hash(tag) for tag in alg._keys}) == len(alg._keys) >= len(keys)
+
+
+def test_keys_of_equal_groups_are_equal_with_equal_hashes():
+    first, second = LoopAlgebra(GroupData.default()), LoopAlgebra(GroupData.default())
+    for key in first.window_keys(Window(2, 1)):
+        other = second.key(key.kind, key.gamma, key.loop)
+        assert other is not key
+        assert other == key and hash(other) == hash(key)
+
+
 # -- the window sweeps against reference loops over alg.structure, under injected faults --
-
-
-class WrongLY(LoopAlgebra):
-    """The [L, Y] coefficient is off by the L index, which may be irrational."""
-
-    def _structure(self, k1, k2):
-        t = super()._structure(k1, k2)
-        if t is not None and k1.kind + k2.kind == "LY":
-            return t[0], t[1] + k1.gamma
-        return t
-
-
-class LoopDependentLL(LoopAlgebra):
-    """The [L, L] coefficient is scaled by 1 + (loop index of the left key)."""
-
-    def _structure(self, k1, k2):
-        t = super()._structure(k1, k2)
-        if t is not None and k1.kind + k2.kind == "LL":
-            return t[0], t[1] * (1 + k1.loop)
-        return t
-
-
-class RescaledBasis(LoopAlgebra):
-    """Every key with a nonzero index scaled by sqrt2.
-
-    This is still a Lie algebra, but its Jacobi identity cancels only
-    because sqrt2 * sqrt2 = 2.
-    """
-
-    def _structure(self, k1, k2):
-        t = super()._structure(k1, k2)
-        if t is None:
-            return None
-
-        def scale(key):
-            return Scalar(0, 1, 2) if key.gamma else Scalar(1)
-
-        return t[0], t[1] * scale(k1) * scale(k2) / scale(t[0])
 
 
 def reference_antisymmetry(alg, window, limit):
@@ -333,17 +316,6 @@ def reference_cocycle(alg, phi, window, limit):
                     if len(bad) >= limit:
                         return bad, count
     return bad, count
-
-
-FAULT_WINDOWS = {
-    "Q": (lambda: GroupData.default(), Window(1, 1)),
-    "Q(sqrt2)": (
-        lambda: GroupData.from_config(
-            {"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "sqrt2"], "s": "1/2"}
-        ),
-        Window(1, 0),
-    ),
-}
 
 
 @pytest.mark.parametrize("limit", [10**6, 3])

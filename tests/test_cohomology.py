@@ -25,7 +25,7 @@ from loopsv import (
     reduce_cocycle,
 )
 
-from support import rand_element, rand_functional
+from support import FAULT_WINDOWS, WrongLY, rand_element, rand_functional
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -291,6 +291,33 @@ class TestCentralExtension:
             assert got.element == alg.bracket(x, y)
             assert got.central == {k: v for k, v in central.items() if v}
             assert got.central  # the window reaches the central terms
+
+    @pytest.mark.parametrize("weights", [None, {1: 2}])
+    @pytest.mark.parametrize("field", sorted(FAULT_WINDOWS))
+    @pytest.mark.parametrize("algebra", [LoopAlgebra, WrongLY])
+    def test_jacobi_defect_matches_six_brackets(self, algebra, field, weights):
+        """The one-pass defect against its six-bracket formula, on a fresh extension."""
+        make_group, window = FAULT_WINDOWS[field]
+        alg = algebra(make_group())
+        ext, ref = central_extend(alg, weights), central_extend(alg, weights)
+
+        def six(x, y, z):
+            return (
+                ref.bracket(ref.bracket(x, y).element, z)
+                + ref.bracket(ref.bracket(y, z).element, x)
+                + ref.bracket(ref.bracket(z, x).element, y)
+            )
+
+        rng = random.Random(41)
+        nonzero = 0
+        for _ in range(8):
+            x, y, z = (rand_element(alg, rng, window, terms=4) for _ in range(3))
+            got, want = ext.jacobi_defect(x, y, z), six(x, y, z)
+            assert got == want
+            assert str(got) == str(want)
+            nonzero += bool(want)
+        # a broken [L, Y] coefficient breaks the identity; the paper's bracket does not
+        assert (nonzero > 0) == (algebra is WrongLY)
 
     def test_bracket_refuses_foreign_operand(self, alg, m2):
         other = LoopAlgebra(GroupData.default())

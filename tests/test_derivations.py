@@ -9,10 +9,16 @@ import pytest
 
 from loopsv import (
     CanonicalDerivation,
+    DomainError,
     GAffine,
+    GroupData,
     GTable,
     HomToLaurent,
+    Inner,
     LaurentPoly,
+    LoopAlgebra,
+    LoopShift,
+    MShear,
     Operator,
     Scalar,
     ShapeError,
@@ -36,7 +42,18 @@ from loopsv import (
     table_operator,
 )
 
-from support import rand_canonical, rand_element, rand_ideal_element, rand_laurent
+from support import (
+    FAULT_WINDOWS,
+    DividedLL,
+    LoopDependentLL,
+    RescaledBasis,
+    WrongLY,
+    rand_canonical,
+    rand_element,
+    rand_ideal_element,
+    rand_laurent,
+    rand_word,
+)
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -44,6 +61,34 @@ ONE = Scalar(1)
 
 def poly(alg, text):
     return parse_laurent(alg, text)
+
+
+def reference_pairs(alg, op, window, limit, leibniz):
+    """The pair sweep on the element path: op([x, y]) against [op x, y] + [x, op y]
+    (``leibniz``) or [op x, op y], for window keys y at or after x."""
+    keys = alg.window_keys(window)
+    bad = []
+    for i, k1 in enumerate(keys):
+        for k2 in keys[i:]:
+            x, y = alg.monomial(k1), alg.monomial(k2)
+            if leibniz:
+                rhs = alg.bracket(op(x), y) + alg.bracket(x, op(y))
+            else:
+                rhs = alg.bracket(op(x), op(y))
+            if op(alg.bracket(x, y)) != rhs:
+                bad.append((k1, k2))
+                if len(bad) >= limit:
+                    return bad
+    return bad
+
+
+def assert_pair_sweeps_match(alg, D, word, window, limit) -> tuple:
+    """Both sweeps against the reference; returns the two witness lists."""
+    leibniz = reference_pairs(alg, D, window, limit, True)
+    respect = reference_pairs(alg, word, window, limit, False)
+    assert derivation_witnesses(alg, D, window, limit) == leibniz
+    assert automorphism_witnesses(alg, word, window, limit) == respect
+    return leibniz, respect
 
 
 @pytest.fixture
@@ -179,6 +224,86 @@ class TestPairSweep:
         automorphism_witnesses(alg, op, small_window)
         assert set(keys) <= set(calls)
         assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("limit", [3, 10**6])
+    @pytest.mark.parametrize(
+        "field, algebra",
+        [("Q", WrongLY), ("Q", LoopDependentLL), ("Q", DividedLL), ("Q(sqrt2)", WrongLY),
+         ("Q(sqrt2)", LoopDependentLL), ("Q(sqrt2)", RescaledBasis)],
+    )
+    def test_sweeps_match_reference_on_faulty_brackets(self, field, algebra, limit):
+        make_group, window = FAULT_WINDOWS[field]
+        alg = algebra(make_group())
+        # the loop part t^2 d/dt sees the loop-dependent [L, L] faults, and
+        # the inner parts, of nonzero degree, the broken Jacobi identity
+        inner = alg.element({alg.key("M", 1, 0): 1, alg.key("Y", Fraction(1, 2), 0): Fraction(2, 3)})
+        rank = len(alg.group.t_basis)
+        D = CanonicalDerivation(
+            poly(alg, "t^2"),
+            HomToLaurent((poly(alg, "t"),) * rank),
+            GAffine(poly(alg, "t"), poly(alg, "1")),
+            poly(alg, "t^-1"),
+            inner,
+        ).to_operator(alg)
+        shear = MShear(GAffine(poly(alg, "t"), poly(alg, "1")))
+        word = Word(alg, [LoopShift((1,) + (0,) * (rank - 1)), Inner(inner), shear])
+        found = assert_pair_sweeps_match(alg, D, word, window, limit)
+        if algebra is RescaledBasis:  # still a Lie algebra, whose identities cancel as sqrt2 * sqrt2 = 2
+            assert found == ([], [])
+        else:
+            assert all(found)  # the fault shows in both sweeps
+
+    @pytest.mark.parametrize("limit", [3, 10**6])
+    @pytest.mark.parametrize("field", sorted(FAULT_WINDOWS))
+    @pytest.mark.parametrize("where", ["window", "reached"])
+    def test_sweeps_match_reference_on_a_wrong_row(self, field, where, limit):
+        make_group, window = FAULT_WINDOWS[field]
+        alg = LoopAlgebra(make_group())
+        keys = alg.window_keys(window)
+        if where == "window":
+            target = keys[len(keys) // 2]
+        else:  # the first key outside the window that a window pair's bracket reaches
+            outputs = (alg.structure(k1, k2) for i, k1 in enumerate(keys) for k2 in keys[i:])
+            target = next(t[0] for t in outputs if t is not None and t[0] not in keys)
+        error = alg.monomial(alg.key("M", target.gamma, target.loop + 1), 2)
+        rng = random.Random(37)
+        D = rand_canonical(alg, rng).to_operator(alg) + make_ad(alg, rand_ideal_element(alg, rng, window))
+        word = rand_word(alg, rng, window, length=4)
+        assert derivation_witnesses(alg, D, window) == []
+        assert automorphism_witnesses(alg, word, window) == []
+
+        def wrong(op):
+            return Operator(alg, lambda key: op.apply_key(key) + error if key == target else op.apply_key(key))
+
+        found = assert_pair_sweeps_match(alg, wrong(D), wrong(word), window, limit)
+        assert all(found)
+
+    @pytest.mark.parametrize("limit", [1, 4, 5, 10**6])
+    def test_undefined_reached_row_raises_where_the_element_path_does(self, limit):
+        alg = LoopAlgebra(GroupData.default())
+        window = Window(1, 1)
+        keys = alg.window_keys(window)
+        D = make_D_rho(alg, parse_laurent(alg, "t"))
+        outputs = [alg.structure(k1, k2) for i, k1 in enumerate(keys) for k2 in keys[i:]]
+        reached = list(dict.fromkeys(t[0] for t in outputs if t is not None and t[0] not in keys))
+        # wrong at the first window key, and undefined at one reached key
+        rows = {key: D.apply_key(key) for key in keys + reached[:3] + reached[4:]}
+        rows[keys[0]] = rows[keys[0]] + alg.monomial(keys[0])
+        for leibniz, sweep in ((True, derivation_witnesses), (False, automorphism_witnesses)):
+            outcomes = []
+            for run in (lambda: reference_pairs(alg, table_operator(alg, rows), window, limit, leibniz),
+                        lambda: sweep(alg, table_operator(alg, rows), window, limit)):
+                try:
+                    outcomes.append(run())
+                except DomainError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            # four witnesses at the first key come before the first pair that needs the
+            # missing row; the Leibniz check finds a fifth there too, the other check does not
+            if limit == 10**6 or (limit == 5 and not leibniz):
+                assert outcomes[0] == f"operator table has no entry for {reached[3]}"
+            else:
+                assert len(outcomes[0]) == limit
 
     def test_word_is_an_operator(self, alg):
         word = Word(alg, [])
