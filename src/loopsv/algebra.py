@@ -59,9 +59,8 @@ class BasisKey:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "loop", loop)
         object.__setattr__(self, "coords", coords)
-        a, b = gamma.a, gamma.b
-        parts = (_nat(a.numerator), a.denominator, _nat(b.numerator), b.denominator, gamma.d, _nat(loop))
-        object.__setattr__(self, "_hash", hash((kind, *parts)))
+        p, r, q, d = gamma.parts()
+        object.__setattr__(self, "_hash", hash((kind, _nat(p), _nat(r), q, d, _nat(loop))))
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisKey is immutable")
@@ -439,14 +438,14 @@ def _scaled_rows(rows: list, d: int, denom: int = 1) -> tuple:
     share it.
     """
     distinct = {id(c): c for row in rows for c in row if c is not None}
-    for c in distinct.values():
-        if c.d not in (0, d):
+    parts = {}
+    for i, c in distinct.items():
+        p, r, q, cd = c.parts()
+        if cd not in (0, d):
             raise ValueError(f"{c} lies outside the algebra's field")
-        denom = math.lcm(denom, c.a.denominator, c.b.denominator)
-    scaled = {
-        i: (c.a.numerator * (denom // c.a.denominator), c.b.numerator * (denom // c.b.denominator))
-        for i, c in distinct.items()
-    }
+        denom = math.lcm(denom, q)
+        parts[i] = p, r, q
+    scaled = {i: (p * (denom // q), r * (denom // q)) for i, (p, r, q) in parts.items()}
     return denom, [[None if c is None else scaled[id(c)] for c in row] for row in rows]
 
 

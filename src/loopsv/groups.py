@@ -38,8 +38,8 @@ class GroupData:
         self.gamma_generators = gens
         self.s = s
         self._dim = 1 if field_d == 0 else 2
-        self._gamma_rows = lattice_basis([self._vec(x) for x in gens])
-        self._t_rows = lattice_basis([self._vec(x) for x in gens + (s,)])
+        self._gamma_rows = self._lattice(gens)
+        self._t_rows = self._lattice(gens + (s,))
         self.gamma_basis = tuple(self._unvec(row) for row in self._gamma_rows)
         self.t_basis = tuple(self._unvec(row) for row in self._t_rows)
         self.rank = len(self.t_basis)
@@ -51,10 +51,14 @@ class GroupData:
 
     # -- coordinates ----------------------------------------------------------
 
-    def _vec(self, x: Scalar) -> list[Fraction]:
-        if self._dim == 1:
-            return [x.a]
-        return [x.a, x.b]
+    def _vec(self, x: Scalar) -> tuple[list[int], int]:
+        """x as an integer vector over (1, sqrt d) and its denominator."""
+        p, r, q, _ = x.parts()
+        return ([p] if self._dim == 1 else [p, r]), q
+
+    def _lattice(self, xs) -> list:
+        rows, dens = zip(*map(self._vec, xs))
+        return lattice_basis(rows, dens)
 
     def _unvec(self, v) -> Scalar:
         if self._dim == 1:
@@ -69,7 +73,7 @@ class GroupData:
             pass
         if x.d not in (0, self.field_d):
             raise GroupConfigError(f"scalar {x} does not live in the configured field")
-        out = coordinates(rows, self._vec(x))
+        out = coordinates(rows, *self._vec(x))
         self._coord_cache[key] = out
         return out
 

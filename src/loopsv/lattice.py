@@ -54,40 +54,36 @@ def hermite_form(rows):
     return h
 
 
-def _common_denominator(rows):
-    den = 1
-    for row in rows:
-        for v in row:
-            den = math.lcm(den, Fraction(v).denominator)
-    return den
+def lattice_basis(rows, dens=None):
+    """Canonical basis (Hermite rows over a common denominator) of the span.
 
-
-def lattice_basis(rows):
-    """Canonical basis (Hermite rows over a common denominator) of the span."""
+    Row ``i`` stands for ``rows[i] / dens[i]`` when ``dens`` is given.
+    """
     if not rows:
         return []
-    den = _common_denominator(rows)
-    int_rows = [[int(v * den) for v in row] for row in rows]
+    dens = dens or [1] * len(rows)
+    den = math.lcm(*(d * v.denominator for row, d in zip(rows, dens) for v in row))
+    int_rows = [[int(v * (den // d)) for v in row] for row, d in zip(rows, dens)]
     return [[Fraction(v, den) for v in row] for row in hermite_form(int_rows) if any(row)]
 
 
-def coordinates(basis_rows, x):
-    """Integer coordinates of the Fraction vector ``x`` over echelon ``basis_rows``, or None.
+def coordinates(basis_rows, x, den=1):
+    """Integer coordinates of the vector ``x / den`` over echelon ``basis_rows``, or None.
 
     Each row's pivot sits right of the one above it, as ``lattice_basis``
     returns them, so back-substitution row by row finds the only candidate;
-    ``x`` lies in the lattice exactly when every step is integral and nothing
-    is left over.
+    the vector lies in the lattice exactly when every step is integral and
+    nothing is left over.
     """
     rem = list(x)
     out = []
     for row in basis_rows:
         p = next(j for j, v in enumerate(row) if v)
-        q = rem[p] / row[p]
+        q = rem[p] / (row[p] * den)
         if q.denominator != 1:
             return None
         out.append(int(q))
         if q:
             for j, v in enumerate(row):
-                rem[j] -= q * v
+                rem[j] -= q * v * den
     return None if any(rem) else tuple(out)

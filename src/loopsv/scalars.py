@@ -1,18 +1,24 @@
 """Exact scalar arithmetic over Q and over real quadratic fields Q(sqrt d).
 
-A :class:`Scalar` stores a pair of rationals ``(a, b)`` standing for
-``a + b*sqrt(d)``.  Purely rational values always carry ``d == 0``, so the
-representation is canonical and equality, hashing and ordering are exact.
-Every operation is closed under the field generated by the operands; mixing
-two different radicands is an error rather than a silent approximation.
+A :class:`Scalar` stores four integers ``p, r, q, d`` standing for
+``(p + r*sqrt(d)) / q``.  The form is canonical: ``q > 0``,
+``gcd(p, r, q) == 1``, and ``d == 0`` exactly when ``r == 0``, so equality,
+hashing and ordering are exact and a purely rational value carries
+``d == 0``.  Sums, products, inverses and comparisons are integer
+operations with one ``math.gcd`` per result; no ``Fraction`` is built on
+those paths.  ``.a`` and ``.b`` give the rational parts of ``a + b*sqrt(d)``
+as Fractions, and ``parts()`` gives the integers themselves.  Every
+operation is closed under the field generated by the operands; mixing two
+different radicands is an error rather than a silent approximation.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .errors import OutputError, ParseError
 
@@ -23,8 +29,13 @@ __all__ = ["Scalar", "ZERO", "ONE", "HALF", "parse_scalar", "is_squarefree"]
 RADICAND_LIMIT = 10**12
 
 
+@lru_cache(maxsize=256)
 def is_radicand(d: int) -> bool:
-    """True when Q(sqrt d) is a field this package accepts: d squarefree, 2 <= d < 10^12."""
+    """True when Q(sqrt d) is a field this package accepts: d squarefree, 2 <= d < 10^12.
+
+    Memoized per ``d``: the public ``Scalar`` constructor asks for every
+    value with a square-root part.
+    """
     return 2 <= d < RADICAND_LIMIT and is_squarefree(d)
 
 
@@ -39,120 +50,180 @@ def is_squarefree(d: int) -> bool:
     return True
 
 
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _rational_hash(p: int, q: int) -> int:
+    """``hash(Fraction(p, q))`` for ``q > 0``, by Python's rule for numeric hashes."""
+    if q == 1:
+        return hash(p)
+    try:
+        dinv = pow(q, -1, _HASH_MODULUS)
+    except ValueError:
+        h = _HASH_INF
+    else:
+        h = hash(hash(abs(p)) * dinv)
+    h = h if p >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _exact_isqrt(n: int) -> int | None:
+    """The integer square root of ``n`` when ``n`` is a perfect square, else None."""
+    if n < 0:
         return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
+    s = math.isqrt(n)
+    return s if s * s == n else None
+
+
+def _ratio_str(n: int, m: int) -> str:
+    """``str(Fraction(n, m))`` for ``m > 0``."""
+    g = math.gcd(n, m)
+    if g != 1:
+        n //= g
+        m //= g
+    return str(n) if m == 1 else f"{n}/{m}"
+
+
+def _integer_ratio(x) -> tuple[int, int]:
+    """``(numerator, denominator)`` of an int, a Fraction, or what ``Fraction()`` reads."""
+    if isinstance(x, int):
+        return int(x), 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 @total_ordering
 class Scalar:
-    """Immutable field element ``a + b*sqrt(d)`` with exact rational parts."""
+    """Immutable field element ``(p + r*sqrt(d)) / q`` in canonical integer form.
 
-    __slots__ = ("a", "b", "d")
+    ``Scalar(a, b, d)`` is ``a + b*sqrt(d)`` for rationals ``a`` and ``b``; a
+    nonzero ``b`` needs a radicand ``d`` (squarefree, 2 <= d < 10^12).
+    """
+
+    __slots__ = ("_p", "_r", "_q", "_d")
 
     def __init__(self, a=0, b=0, d=0):
-        a = a if isinstance(a, Fraction) else Fraction(a)
-        b = b if isinstance(b, Fraction) else Fraction(b)
-        if b == 0:
+        p, qa = _integer_ratio(a)
+        r, qb = _integer_ratio(b)
+        if not r:
             d = 0
-        elif d < 2:
-            raise ValueError("a nonzero square-root part needs a radicand d >= 2")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", int(d))
+        else:
+            d = int(d)
+            if not is_radicand(d):
+                raise ValueError("a nonzero square-root part needs a squarefree radicand 2 <= d < 10^12")
+        # both ratios are in lowest terms, so over their least common
+        # denominator gcd(p, r, q) is already 1
+        q = math.lcm(qa, qb)
+        self._p = p * (q // qa)
+        self._r = r * (q // qb)
+        self._q = q
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    @property
+    def a(self) -> Fraction:
+        """The rational part of ``a + b*sqrt(d)``."""
+        return Fraction(self._p, self._q)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of ``sqrt(d)``."""
+        return Fraction(self._r, self._q)
+
+    @property
+    def d(self) -> int:
+        """The radicand, 0 for a rational value."""
+        return self._d
+
+    def parts(self) -> tuple[int, int, int, int]:
+        """The canonical integers ``(p, r, q, d)`` of ``(p + r*sqrt(d)) / q``."""
+        return self._p, self._r, self._q, self._d
+
+    @staticmethod
+    def from_parts(p: int, r: int, q: int, d: int) -> "Scalar":
+        """``(p + r*sqrt(d)) / q`` for integers with ``q != 0``.
+
+        ``d`` must be a radicand when ``r != 0``; it is not checked, as for
+        the results of arithmetic.
+        """
+        return _make(p, r, q, d)
 
     @staticmethod
     def of(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return Scalar(value)
+            return _coerce(value)
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
 
     # -- field structure ----------------------------------------------------
 
-    def _join(self, other: "Scalar") -> int:
-        if self.d == 0:
-            return other.d
-        if other.d == 0 or other.d == self.d:
-            return self.d
-        raise ValueError(f"mixed radicands sqrt{self.d} and sqrt{other.d}")
-
     def __add__(self, other):
-        if isinstance(other, Scalar):
-            if not (self.d or other.d):
-                return _rational(self.a + other.a)
-        elif isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        else:
-            return NotImplemented
-        return Scalar(self.a + other.a, self.b + other.b, self._join(other))
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _coerce(other)
+        d = _join(self._d, other._d)
+        q1, q2 = self._q, other._q
+        if q1 == q2:
+            return _make(self._p + other._p, self._r + other._r, q1, d)
+        return _make(self._p * q2 + other._p * q1, self._r * q2 + other._r * q1, q1 * q2, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Scalar):
-            if not (self.d or other.d):
-                return _rational(self.a - other.a)
-        elif isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        else:
-            return NotImplemented
-        return Scalar(self.a - other.a, self.b - other.b, self._join(other))
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _coerce(other)
+        d = _join(self._d, other._d)
+        q1, q2 = self._q, other._q
+        if q1 == q2:
+            return _make(self._p - other._p, self._r - other._r, q1, d)
+        return _make(self._p * q2 - other._p * q1, self._r * q2 - other._r * q1, q1 * q2, d)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Scalar(other) - self
+            return _coerce(other) - self
         return NotImplemented
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b, self.d)
+        return _canonical(-self._p, -self._r, self._q, self._d)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            if not (self.d or other.d):
-                return _rational(self.a * other.a)
-        elif isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        else:
-            return NotImplemented
-        d = self._join(other)
-        return Scalar(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _coerce(other)
+        p1, r1, p2, r2 = self._p, self._r, other._p, other._r
+        if not (r1 or r2):
+            return _make(p1 * p2, 0, self._q * other._q, 0)
+        d = _join(self._d, other._d)
+        return _make(p1 * p2 + r1 * r2 * d, p1 * r2 + r1 * p2, self._q * other._q, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not self:
-            raise ZeroDivisionError("scalar division by zero")
-        norm = self.a * self.a - self.b * self.b * self.d
-        # norm == 0 would force d to be a rational square, which is excluded
-        return Scalar(self.a / norm, -self.b / norm, self.d)
+        p, r, q, d = self._p, self._r, self._q, self._d
+        if not r:
+            if not p:
+                raise ZeroDivisionError("scalar division by zero")
+            return _canonical(q, 0, p, 0) if p > 0 else _canonical(-q, 0, -p, 0)
+        # q / (p + r sqrt d) = q (p - r sqrt d) / (p^2 - d r^2); the norm is
+        # nonzero because d is not a rational square
+        return _make(q * p, -q * r, p * p - d * r * r, d)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("scalar division by zero")
-            return Scalar(self.a / other, self.b / other, self.d)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _coerce(other)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Scalar(other) * self.inverse()
+            return _coerce(other) * self.inverse()
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -172,39 +243,44 @@ class Scalar:
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        elif not isinstance(other, Scalar):
-            return NotImplemented
-        return self.d == other.d and self.a == other.a and self.b == other.b
-
-    # d == 0 exactly when b == 0, so the radicand answers "is b zero?" cheaply
+        if isinstance(other, Scalar):
+            return (
+                self._p == other._p and self._q == other._q and self._r == other._r and self._d == other._d
+            )
+        if isinstance(other, int):
+            return not self._d and self._q == 1 and self._p == other
+        if isinstance(other, Fraction):
+            return not self._d and self._q == other.denominator and self._p == other.numerator
+        return NotImplemented
 
     def __hash__(self):
-        if not self.d:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if not self._d:
+            return _rational_hash(self._p, self._q)
+        # the hash of the tuple (a, b, d) of Fractions
+        return hash((_rational_hash(self._p, self._q), _rational_hash(self._r, self._q), self._d))
 
     def __bool__(self):
-        return bool(self.d) or self.a != 0
+        return bool(self._p or self._r)
 
     def sign(self) -> int:
         """Sign of the real number this scalar denotes (sqrt d > 0)."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        sa = 1 if self.a > 0 else -1
-        if sa == (1 if self.b > 0 else -1):
-            return sa
-        gap = self.a * self.a - self.b * self.b * self.d
-        # gap == 0 cannot happen for squarefree d >= 2
-        return sa if gap > 0 else -sa
+        p, r = self._p, self._r
+        sp = (p > 0) - (p < 0)
+        if not r:
+            return sp
+        sr = 1 if r > 0 else -1
+        if sp == 0 or sp == sr:
+            return sr
+        # the larger of |p| and |r| sqrt d wins; they are never equal for a radicand d
+        return sp if p * p > self._d * r * r else sr
 
     def __lt__(self, other):
-        other = Scalar.of(other) if isinstance(other, (int, Fraction)) else other
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _coerce(other)
+        if not (self._d or other._d):
+            return self._p * other._q < other._p * self._q
         return (self - other).sign() < 0
 
     def __abs__(self):
@@ -222,28 +298,31 @@ class Scalar:
             return None
         if not self:
             return ZERO
-        if self.b == 0:
-            r = _fraction_sqrt(self.a)
-            if r is not None:
-                return Scalar(r)
+        p, r, q, d = self._p, self._r, self._q, self._d
+        if not r:
+            # p/q in lowest terms is a square exactly when p*q is one
+            s = _exact_isqrt(p * q)
+            if s is not None:
+                return _make(s, 0, q, 0)
             if field_d >= 2:
-                r = _fraction_sqrt(self.a / field_d)
-                if r is not None:
-                    return Scalar(0, r, field_d)
+                # p/q = y^2 * field_d with y = sqrt(p q field_d) / (q field_d)
+                s = _exact_isqrt(p * q * field_d)
+                if s is not None:
+                    return _make(0, s, q * field_d, field_d)
             return None
-        # (x + y sqrt d)^2 = a + b sqrt d with b != 0 forces x, y != 0 and
-        # x^2 = (a +- sqrt(a^2 - d b^2)) / 2, y = b / (2 x).
-        if field_d != self.d:
+        # (x + y sqrt d)^2 = (p + r sqrt d)/q with r != 0 forces x, y != 0 and
+        # x^2 = (p +- g) / 2q with g = sqrt(p^2 - d r^2); then x = s/2q with
+        # s = sqrt(2q(p +- g)), and y = r/s.
+        if field_d != d:
             return None
-        gap = _fraction_sqrt(self.a * self.a - self.b * self.b * self.d)
-        if gap is None:
+        g = _exact_isqrt(p * p - d * r * r)
+        if g is None:
             return None
-        for root in (gap, -gap):
-            x2 = (self.a + root) / 2
-            x = _fraction_sqrt(x2)
-            if x is not None and x != 0:
-                y = self.b / (2 * x)
-                cand = Scalar(x, y, self.d)
+        for root in (g, -g):
+            m = p + root
+            s = _exact_isqrt(2 * q * m) if m > 0 else None
+            if s is not None:
+                cand = _make(s * s, 2 * q * r, 2 * q * s, d)
                 if cand.sign() < 0:
                     cand = -cand
                 if cand * cand == self:
@@ -251,16 +330,16 @@ class Scalar:
         return None
 
     def __str__(self):
+        p, r, q, d = self._p, self._r, self._q, self._d
         try:
-            if self.b == 0:
-                return str(self.a)
-            root = f"sqrt{self.d}"
-            mag = abs(self.b)
-            part = root if mag == 1 else f"{mag}*{root}"
-            if self.a == 0:
-                return part if self.b > 0 else f"-{part}"
-            op = "+" if self.b > 0 else "-"
-            return f"{self.a}{op}{part}"
+            if not r:
+                return _ratio_str(p, q)
+            root = f"sqrt{d}"
+            part = root if abs(r) == q else f"{_ratio_str(abs(r), q)}*{root}"
+            if not p:
+                return part if r > 0 else f"-{part}"
+            op = "+" if r > 0 else "-"
+            return f"{_ratio_str(p, q)}{op}{part}"
         except ValueError:  # beyond Python's limit on digits in an int string
             raise OutputError("a coefficient of the result has too many digits to print") from None
 
@@ -268,23 +347,58 @@ class Scalar:
         return f"Scalar({str(self)!r})"
 
 
-_FRACTION_ZERO = Fraction(0)
+_new = object.__new__
 
 
-def _rational(a: Fraction) -> Scalar:
-    """``Scalar(a)`` for a Fraction, without re-checking the arguments."""
-    out = object.__new__(Scalar)
-    object.__setattr__(out, "a", a)
-    object.__setattr__(out, "b", _FRACTION_ZERO)
-    object.__setattr__(out, "d", 0)
+def _canonical(p: int, r: int, q: int, d: int) -> Scalar:
+    """The scalar with these parts, which are already in canonical form."""
+    out = _new(Scalar)
+    out._p = p
+    out._r = r
+    out._q = q
+    out._d = d
     return out
+
+
+def _make(p: int, r: int, q: int, d: int) -> Scalar:
+    """``(p + r*sqrt(d)) / q`` for ``q != 0``, brought to canonical form with one gcd."""
+    g = math.gcd(p, r, q)
+    if q < 0:
+        g = -g
+    if g != 1:
+        p //= g
+        r //= g
+        q //= g
+    # _canonical inlined: every arithmetic result passes through here
+    out = _new(Scalar)
+    out._p = p
+    out._r = r
+    out._q = q
+    out._d = d if r else 0
+    return out
+
+
+def _coerce(x) -> Scalar:
+    """The scalar of an int or a Fraction."""
+    if isinstance(x, int):
+        return _canonical(int(x), 0, 1, 0)
+    return _canonical(x.numerator, 0, x.denominator, 0)
+
+
+def _join(d1: int, d2: int) -> int:
+    """The radicand of a result with operands over d1 and d2 (0 for Q)."""
+    if d1 == d2 or not d2:
+        return d1
+    if not d1:
+        return d2
+    raise ValueError(f"mixed radicands sqrt{d1} and sqrt{d2}")
 
 
 def _coeff_str(c: Scalar) -> str:
     """``str(c)`` for a coefficient in front of a key or a power of t."""
     s = str(c)
     # composite scalars get parentheses so products stay unambiguous
-    if c.b != 0 and c.a != 0:
+    if c._p and c._r:
         return f"({s})"
     return s
 

@@ -1,13 +1,15 @@
-"""Deterministic random factories and the CLI launcher shared across the test modules.
+"""Deterministic random factories, the CLI launcher and a reference scalar shared across the test modules.
 
 Every factory takes an explicit ``random.Random`` so a test controls its seed;
 draws are kept small so windows stay meaningful and failures stay readable.
 """
 
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import total_ordering
 from pathlib import Path
 
 import loopsv
@@ -26,6 +28,7 @@ from loopsv import (
     LoopShift,
     MShear,
     MShearData,
+    OutputError,
     Scalar,
     Scale,
     Window,
@@ -229,3 +232,249 @@ def run_cli(*argv, env_extra=None) -> subprocess.CompletedProcess:
         env=cli_env(env_extra),
         timeout=300,
     )
+
+
+# -- reference scalar ---------------------------------------------------------
+
+
+def _ref_fraction_sqrt(x: Fraction) -> Fraction | None:
+    """Exact square root of a nonnegative rational, or None."""
+    if x < 0:
+        return None
+    rn = math.isqrt(x.numerator)
+    rd = math.isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+@total_ordering
+class RefScalar:
+    """The two-Fraction ``RefScalar`` this package had before its integer form:
+    ``a + b*sqrt(d)`` with Fraction parts ``a`` and ``b``, kept as a parity
+    reference for ``tests/test_scalars.py``."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a=0, b=0, d=0):
+        a = a if isinstance(a, Fraction) else Fraction(a)
+        b = b if isinstance(b, Fraction) else Fraction(b)
+        if b == 0:
+            d = 0
+        elif d < 2:
+            raise ValueError("a nonzero square-root part needs a radicand d >= 2")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", int(d))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
+
+    @staticmethod
+    def of(value) -> "RefScalar":
+        if isinstance(value, RefScalar):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return RefScalar(value)
+        raise TypeError(f"cannot interpret {value!r} as a RefScalar")
+
+    # -- field structure ----------------------------------------------------
+
+    def _join(self, other: "RefScalar") -> int:
+        if self.d == 0:
+            return other.d
+        if other.d == 0 or other.d == self.d:
+            return self.d
+        raise ValueError(f"mixed radicands sqrt{self.d} and sqrt{other.d}")
+
+    def __add__(self, other):
+        if isinstance(other, RefScalar):
+            if not (self.d or other.d):
+                return _ref_rational(self.a + other.a)
+        elif isinstance(other, (int, Fraction)):
+            other = RefScalar(other)
+        else:
+            return NotImplemented
+        return RefScalar(self.a + other.a, self.b + other.b, self._join(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, RefScalar):
+            if not (self.d or other.d):
+                return _ref_rational(self.a - other.a)
+        elif isinstance(other, (int, Fraction)):
+            other = RefScalar(other)
+        else:
+            return NotImplemented
+        return RefScalar(self.a - other.a, self.b - other.b, self._join(other))
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RefScalar(other) - self
+        return NotImplemented
+
+    def __neg__(self):
+        return RefScalar(-self.a, -self.b, self.d)
+
+    def __mul__(self, other):
+        if isinstance(other, RefScalar):
+            if not (self.d or other.d):
+                return _ref_rational(self.a * other.a)
+        elif isinstance(other, (int, Fraction)):
+            other = RefScalar(other)
+        else:
+            return NotImplemented
+        d = self._join(other)
+        return RefScalar(
+            self.a * other.a + self.b * other.b * d,
+            self.a * other.b + self.b * other.a,
+            d,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "RefScalar":
+        if not self:
+            raise ZeroDivisionError("scalar division by zero")
+        norm = self.a * self.a - self.b * self.b * self.d
+        # norm == 0 would force d to be a rational square, which is excluded
+        return RefScalar(self.a / norm, -self.b / norm, self.d)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("scalar division by zero")
+            return RefScalar(self.a / other, self.b / other, self.d)
+        if not isinstance(other, RefScalar):
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RefScalar(other) * self.inverse()
+        return NotImplemented
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = RefScalar(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    # -- comparisons --------------------------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefScalar(other)
+        elif not isinstance(other, RefScalar):
+            return NotImplemented
+        return self.d == other.d and self.a == other.a and self.b == other.b
+
+    # d == 0 exactly when b == 0, so the radicand answers "is b zero?" cheaply
+
+    def __hash__(self):
+        if not self.d:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __bool__(self):
+        return bool(self.d) or self.a != 0
+
+    def sign(self) -> int:
+        """Sign of the real number this scalar denotes (sqrt d > 0)."""
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
+        if self.a == 0:
+            return 1 if self.b > 0 else -1
+        sa = 1 if self.a > 0 else -1
+        if sa == (1 if self.b > 0 else -1):
+            return sa
+        gap = self.a * self.a - self.b * self.b * self.d
+        # gap == 0 cannot happen for squarefree d >= 2
+        return sa if gap > 0 else -sa
+
+    def __lt__(self, other):
+        other = RefScalar.of(other) if isinstance(other, (int, Fraction)) else other
+        if not isinstance(other, RefScalar):
+            return NotImplemented
+        return (self - other).sign() < 0
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    # -- misc ---------------------------------------------------------------
+
+    def sqrt(self, field_d: int = 0) -> "RefScalar | None":
+        """A square root inside Q(sqrt field_d), or None if there is none.
+
+        The returned root is the nonnegative one, which makes the choice
+        deterministic.  ``field_d == 0`` restricts the search to Q.
+        """
+        if self.sign() < 0:
+            return None
+        if not self:
+            return RefScalar(0)
+        if self.b == 0:
+            r = _ref_fraction_sqrt(self.a)
+            if r is not None:
+                return RefScalar(r)
+            if field_d >= 2:
+                r = _ref_fraction_sqrt(self.a / field_d)
+                if r is not None:
+                    return RefScalar(0, r, field_d)
+            return None
+        # (x + y sqrt d)^2 = a + b sqrt d with b != 0 forces x, y != 0 and
+        # x^2 = (a +- sqrt(a^2 - d b^2)) / 2, y = b / (2 x).
+        if field_d != self.d:
+            return None
+        gap = _ref_fraction_sqrt(self.a * self.a - self.b * self.b * self.d)
+        if gap is None:
+            return None
+        for root in (gap, -gap):
+            x2 = (self.a + root) / 2
+            x = _ref_fraction_sqrt(x2)
+            if x is not None and x != 0:
+                y = self.b / (2 * x)
+                cand = RefScalar(x, y, self.d)
+                if cand.sign() < 0:
+                    cand = -cand
+                if cand * cand == self:
+                    return cand
+        return None
+
+    def __str__(self):
+        try:
+            if self.b == 0:
+                return str(self.a)
+            root = f"sqrt{self.d}"
+            mag = abs(self.b)
+            part = root if mag == 1 else f"{mag}*{root}"
+            if self.a == 0:
+                return part if self.b > 0 else f"-{part}"
+            op = "+" if self.b > 0 else "-"
+            return f"{self.a}{op}{part}"
+        except ValueError:  # beyond Python's limit on digits in an int string
+            raise OutputError("a coefficient of the result has too many digits to print") from None
+
+    def __repr__(self):
+        return f"RefScalar({str(self)!r})"
+
+
+_REF_FRACTION_ZERO = Fraction(0)
+
+
+def _ref_rational(a: Fraction) -> RefScalar:
+    """``RefScalar(a)`` for a Fraction, without re-checking the arguments."""
+    out = object.__new__(RefScalar)
+    object.__setattr__(out, "a", a)
+    object.__setattr__(out, "b", _REF_FRACTION_ZERO)
+    object.__setattr__(out, "d", 0)
+    return out
