@@ -203,7 +203,6 @@ class LoopAlgebra:
         self._keys: dict[tuple, BasisKey] = {}
         # (kind pair, coordinates, coordinates) -> the bracket's loop-free part
         self._parts: dict[tuple, tuple | None] = {}
-        self._sc_cache: dict[tuple, tuple | None] = {}
         self._window_cache: dict[Window, list] = {}
         self._table_cache: dict[Window, _SweepTable] = {}
 
@@ -248,14 +247,7 @@ class LoopAlgebra:
 
     def structure(self, k1: BasisKey, k2: BasisKey):
         """Bracket of two basis keys as (key, coefficient), or None when zero."""
-        tag = (k1, k2)
-        try:
-            return self._sc_cache[tag]
-        except KeyError:
-            pass
-        out = self._structure(k1, k2)
-        self._sc_cache[tag] = out
-        return out
+        return self._structure(k1, k2)
 
     def _structure(self, k1: BasisKey, k2: BasisKey):
         tag = (k1.kind + k2.kind, k1.coords, k2.coords)
@@ -362,6 +354,10 @@ class LoopAlgebra:
         return table
 
 
+# the output id ``pair_values`` gives a form's values: one central key that no table id names
+_CENTRAL = -1
+
+
 class _SweepTable:
     """A window's structure constants as exact scaled integers, for the sweeps.
 
@@ -377,7 +373,7 @@ class _SweepTable:
     included, so no entry is inferred from another.
     """
 
-    __slots__ = ("keys", "n", "width", "rows", "d", "denom", "reached")
+    __slots__ = ("keys", "n", "width", "rows", "d", "denom")
 
     def __init__(self, alg: LoopAlgebra, window: Window):
         window_keys = alg.window_keys(window)
@@ -396,7 +392,6 @@ class _SweepTable:
             return row
 
         raw = [brackets(k1, window_keys) for k1 in window_keys]
-        self.reached = sorted({ids[t[0]] for row in raw for t in row if t is not None})
         self.width = len(keys)
         columns = keys[len(window_keys):]
         for k1, row in zip(window_keys, raw):
@@ -412,21 +407,61 @@ class _SweepTable:
         ]
 
     def pair_values(self, value) -> list:
-        """``value(keys[i], keys[r])`` for window ids i and reached ids r.
+        """``value(keys[i], keys[c])`` for window ids i and column ids c, as table rows.
 
-        Entry ``[i][r]`` is None where the value is zero, else the value as an
-        integer pair scaled by one common denominator, like the table entries.
+        Entry ``[i][c]`` is None where the value is zero, else ``(_CENTRAL, a, b)``
+        with the value as an integer pair scaled by one common denominator, like
+        the table entries: the form's values as brackets onto one central id.
         ``value`` must return scalars in the algebra's field.
         """
-        keys = self.keys
-        raw = [[None] * self.width for _ in range(self.n)]
-        for i in range(self.n):
-            k1, row = keys[i], raw[i]
-            for r in self.reached:
-                v = value(k1, keys[r])
-                if v:
-                    row[r] = v
-        return _scaled_rows(raw, self.d)[1]
+        columns = self.keys[: self.width]
+        raw = [[value(k1, k2) or None for k2 in columns] for k1 in columns[: self.n]]
+        return [
+            [None if c is None else (_CENTRAL, *c) for c in row]
+            for row in _scaled_rows(raw, self.d)[1]
+        ]
+
+    def cyclic_witnesses(self, outer: list, first: int, limit: int) -> tuple:
+        """(window triples with a nonzero cyclic sum, triple count).
+
+        The cyclic sum of a triple (i, j, k) is ``outer[i][[j,k]] +
+        outer[j][[k,i]] + outer[k][[i,j]]``, added per output id in integer
+        pairs, where ``[j,k]`` is the table entry and ``outer`` has the table's
+        entry shape.  j runs over ``range(i + first, n)`` and k over
+        ``range(j + first, n)``.
+        """
+        keys, rows, n, d = self.keys, self.rows, self.n, self.d
+        bad = []
+        count = 0
+        for i in range(n):
+            row_i, outer_i = rows[i], outer[i]
+            for j in range(i + first, n):
+                row_j, outer_j = rows[j], outer[j]
+                t_ij = row_i[j]
+                for k in range(j + first, n):
+                    count += 1
+                    acc = None
+                    for row, inner in ((outer_i, row_j[k]), (outer_j, rows[k][i]), (outer[k], t_ij)):
+                        if inner is None:
+                            continue
+                        mid, a1, b1 = inner
+                        t = row[mid]
+                        if t is None:
+                            continue
+                        out, a2, b2 = t
+                        if acc is None:
+                            acc = {}
+                        a, b = acc.get(out, (0, 0))
+                        acc[out] = (a + a1 * a2 + b1 * b2 * d, b + a1 * b2 + a2 * b1)
+                    if acc is None:
+                        continue
+                    for a, b in acc.values():
+                        if a or b:
+                            bad.append((keys[i], keys[j], keys[k]))
+                            if len(bad) >= limit:
+                                return bad, count
+                            break
+        return bad, count
 
 
 def _scaled_rows(rows: list, d: int, denom: int = 1) -> tuple:
@@ -475,32 +510,4 @@ def jacobi_witnesses(alg: LoopAlgebra, window: Window, limit: int = 10) -> tuple
     ordered triple.
     """
     table = alg._sweep_table(window)
-    keys, rows, n, d = table.keys, table.rows, table.n, table.d
-    bad = []
-    count = 0
-    for i in range(n):
-        row_i = rows[i]
-        for j in range(i, n):
-            row_j = rows[j]
-            t_ij = row_i[j]
-            for k in range(j, n):
-                row_k = rows[k]
-                count += 1
-                acc: dict = {}
-                for row, inner in ((row_i, row_j[k]), (row_j, row_k[i]), (row_k, t_ij)):
-                    if inner is None:
-                        continue
-                    mid, a1, b1 = inner
-                    t = row[mid]
-                    if t is None:
-                        continue
-                    out, a2, b2 = t
-                    a, b = acc.get(out, (0, 0))
-                    acc[out] = (a + a1 * a2 + b1 * b2 * d, b + a1 * b2 + a2 * b1)
-                for a, b in acc.values():
-                    if a or b:
-                        bad.append((keys[i], keys[j], keys[k]))
-                        if len(bad) >= limit:
-                            return bad, count
-                        break
-    return bad, count
+    return table.cyclic_witnesses(table.rows, 0, limit)

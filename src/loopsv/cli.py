@@ -112,6 +112,14 @@ def _doc_scalar(group: GroupData, value) -> Scalar:
     raise GroupConfigError(f"expected an exact scalar string, got {value!r}")
 
 
+def _doc_gamma(group: GroupData, value, what: str) -> Scalar:
+    """A scalar document entry that must lie in Gamma."""
+    gamma = _doc_scalar(group, value)
+    if not group.in_gamma(gamma):
+        raise GroupConfigError(f"{what} {gamma} is not in Gamma")
+    return gamma
+
+
 def _doc_int(value, what: str) -> int:
     """A JSON integer, or a string holding one (JSON object keys are strings)."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -182,7 +190,7 @@ def derivation_from_doc(alg: LoopAlgebra, doc: dict) -> Operator:
     elif isinstance(g_doc, dict) and "table" in g_doc:
         g = GTable(
             {
-                group.parse_scalar(k): parse_laurent(alg, v)
+                _doc_gamma(group, k, "g.table index"): parse_laurent(alg, v)
                 for k, v in _doc_object(g_doc["table"], "g.table").items()
             }
         )
@@ -205,7 +213,8 @@ def _shear_from_doc(alg: LoopAlgebra, doc: dict):
         table = {}
         for row in _doc_list(doc["table"], "shear table"):
             g, i, k, v = _doc_list(row, "a shear table row", 4)
-            index = (_doc_scalar(group, g), _doc_int(i, "a loop index"), _doc_int(k, "a loop index"))
+            gamma = _doc_gamma(group, g, "shear table index")
+            index = (gamma, _doc_int(i, "a loop index"), _doc_int(k, "a loop index"))
             table[index] = _doc_scalar(group, v)
         return MShearData(table=table)
     raise GroupConfigError('shear data must be {"diagonals": {...}} or {"table": [...]}')

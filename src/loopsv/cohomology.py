@@ -193,35 +193,13 @@ def cocycle_defect(phi: Cocycle, x: Element, y: Element, z: Element) -> Scalar:
 def cocycle_witnesses(alg: LoopAlgebra, phi: Cocycle, window: Window, limit: int = 10) -> tuple:
     """(violating key triples, triple count) for the cyclic identity sweep.
 
-    ``phi`` must take its values in the algebra's field.
+    The cocycle identity is the central part of the Jacobi identity of
+    [x, y] + phi(x, y) c, so this is the Jacobi sweep with phi's values as
+    the outer rows, over i < j < k since phi is alternating.  ``phi`` must
+    take its values in the algebra's field.
     """
     table = alg._sweep_table(window)
-    keys, rows, n, d = table.keys, table.rows, table.n, table.d
-    values = table.pair_values(phi.value)
-    bad = []
-    count = 0
-    for i in range(n):
-        row_i, phi_i = rows[i], values[i]
-        for j in range(i + 1, n):
-            row_j, phi_j = rows[j], values[j]
-            t_ij = row_i[j]
-            for m in range(j + 1, n):
-                row_m = rows[m]
-                count += 1
-                a = b = 0
-                for phi_row, t in ((phi_i, row_j[m]), (phi_j, row_m[i]), (values[m], t_ij)):
-                    if t is None:
-                        continue
-                    v = phi_row[t[0]]
-                    if v is None:
-                        continue
-                    a += t[1] * v[0] + t[2] * v[1] * d
-                    b += t[1] * v[1] + t[2] * v[0]
-                if a or b:
-                    bad.append((keys[i], keys[j], keys[m]))
-                    if len(bad) >= limit:
-                        return bad, count
-    return bad, count
+    return table.cyclic_witnesses(table.pair_values(phi.value), 1, limit)
 
 
 def normalizing_functional(alg: LoopAlgebra, phi: Cocycle, keys) -> LinearFunctional:
@@ -325,8 +303,8 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
     table = alg._sweep_table(window)
     keys, n = table.keys[: table.n], table.n
 
-    support = keys + [table.keys[r] for r in table.reached if r >= n]
-    f = normalizing_functional(alg, phi, sorted(support, key=lambda k: k.sort_key()))
+    # the support: the window keys and every key a bracket of two of them reaches
+    f = normalizing_functional(alg, phi, sorted(table.keys[: table.width], key=lambda k: k.sort_key()))
 
     prime = CombinationCocycle(alg, [(ONE, phi), (-ONE, make_coboundary(alg, f))]).value
 

@@ -9,8 +9,10 @@ from loopsv import (
     LinearFunctional,
     LoopAlgebra,
     Scalar,
+    TableCocycle,
     Window,
     antisymmetry_witnesses,
+    cocycle_defect,
     cocycle_witnesses,
     jacobi_witnesses,
     make_coboundary,
@@ -20,6 +22,7 @@ from loopsv import (
 from support import FAULT_WINDOWS, LoopDependentLL, RescaledBasis, WrongLY
 
 HALF = Scalar(Fraction(1, 2))
+SQRT2 = Scalar(0, 1, 2)
 ZERO = Scalar(0)
 
 
@@ -318,9 +321,26 @@ def reference_cocycle(alg, phi, window, limit):
     return bad, count
 
 
+def non_cocycle(alg, field):
+    """A table form that fails the cocycle identity on the field's fault window."""
+    if field == "Q":
+        # M(2,0) lies past the window (1,1); only [L(1,0), M(1,0)] reaches its column
+        return TableCocycle(alg, {(alg.key("L", -1, 0), alg.key("M", 2, 0)): 1})
+    # (1+sqrt2) phi_0 on every L pair the window's brackets reach, plus one sqrt2 entry
+    # whose one defect is sqrt2: a sweep that dropped the sqrt2 parts would miss it
+    phi0 = make_phi_k(alg, 0)
+    gammas, _ = alg.group.window_gammas(Window(2, 0))
+    entries = {}
+    for gamma in gammas:
+        pair = alg.key("L", gamma, 0), alg.key("L", -gamma, 0)
+        entries[pair] = Scalar(1, 1, 2) * phi0.value(*pair)
+    entries[(alg.key("L", Scalar(-1, -2, 2), 0), alg.key("L", Scalar(1, -4, 2), 0))] = SQRT2
+    return TableCocycle(alg, entries)
+
+
 @pytest.mark.parametrize("limit", [10**6, 3])
 @pytest.mark.parametrize("field", sorted(FAULT_WINDOWS))
-@pytest.mark.parametrize("faulty", [WrongLY, LoopDependentLL])
+@pytest.mark.parametrize("faulty", [WrongLY, LoopDependentLL, LoopAlgebra])
 def test_sweeps_match_reference_under_faults(faulty, field, limit):
     make_group, window = FAULT_WINDOWS[field]
     alg = faulty(make_group())
@@ -332,11 +352,18 @@ def test_sweeps_match_reference_under_faults(faulty, field, limit):
     assert antisymmetry_witnesses(alg, window, limit) == reference_antisymmetry(alg, window, limit)
     jacobi = jacobi_witnesses(alg, window, limit)
     assert jacobi == reference_jacobi(alg, window, limit)
-    for phi in (make_phi_k(alg, 0), coboundary):
+    form = non_cocycle(alg, field)
+    for phi in (make_phi_k(alg, 0), coboundary, form):
         assert cocycle_witnesses(alg, phi, window, limit) == reference_cocycle(alg, phi, window, limit)
     if field == "Q":
-        # both faults break the Jacobi identity on this window
-        assert len(jacobi[0]) == min(limit, 232 if faulty is LoopDependentLL else 144)
+        # both faults break the Jacobi identity on this window; the paper's bracket keeps it
+        assert len(jacobi[0]) == min(limit, {WrongLY: 144, LoopDependentLL: 232, LoopAlgebra: 0}[faulty])
+    if faulty is LoopAlgebra:
+        bad, _ = cocycle_witnesses(alg, form, window, limit)
+        assert bad
+        if field == "Q(sqrt2)":
+            (triple,) = bad
+            assert cocycle_defect(form, *map(alg.monomial, triple)) == SQRT2
 
 
 def test_sweeps_multiply_square_root_parts_exactly():

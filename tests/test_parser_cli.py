@@ -372,6 +372,11 @@ class TestCliFailures:
             (["decompose-derivation"], {"f": ["0", "t"]}),
             (["check", "derivation"], {"g": {"table": {"1": "t"}}}),
             (["decompose-derivation"], {"g": {"table": {"1": "t"}}}),
+            # table indices outside Gamma name no key, so they are refused rather than dropped
+            (["check", "automorphism"], [{"m-shear": {"table": [["1/3", 0, 0, "5"]]}}]),
+            (["factor-automorphism"], [{"m-shear": {"table": [["1/3", 0, 0, "5"]]}}]),
+            (["check", "derivation"], {"g": {"table": {"-2": "-2*t", "-1": "-t", "0": "0", "1": "t", "2": "2*t", "1/2": "7"}}}),
+            (["decompose-derivation"], {"g": {"table": {"-2": "-2*t", "-1": "-t", "0": "0", "1": "t", "2": "2*t", "1/2": "7"}}}),
         ],
     )
     def test_malformed_input_is_usage(self, tmp_path, argv, doc):
