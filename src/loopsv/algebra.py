@@ -3,10 +3,11 @@
 The algebra has basis families L and M indexed by Gamma and Y indexed by the
 shifted coset, each with an integer loop index.  The bracket of two basis
 keys is always zero or a single scalar multiple of another basis key.  The
-element path caches these structure constants per key pair; the window
-sweeps (antisymmetry, Jacobi, the cocycle identity in ``cohomology``, and the
-derivation and automorphism checks) share a table of them compiled to exact
-integers once per window.
+element path caches each bracket's loop-free part; the window sweeps
+(antisymmetry, Jacobi, the cocycle identity in ``cohomology``, and the
+derivation and automorphism checks) share a table of the structure constants
+compiled to exact integers once per window.  Only this module reads the
+table's integer entries.
 """
 
 from __future__ import annotations
@@ -354,6 +355,16 @@ class LoopAlgebra:
         return table
 
 
+class PairWitnesses(list):
+    """The window key pairs where a pair sweep failed, in sweep order.
+
+    ``pairs`` is the number of pairs the sweep compared: all of them, or those
+    up to and including the last witness when it stopped at its limit.
+    """
+
+    __slots__ = ("pairs",)
+
+
 # the output id ``pair_values`` gives a form's values: one central key that no table id names
 _CENTRAL = -1
 
@@ -370,10 +381,11 @@ class _SweepTable:
     ``(out, a, b)`` with ``[keys[i], keys[j]] = (a + b*sqrt(d)) / denom *
     keys[out]`` for one ``denom`` common to the whole table.  Every entry
     comes from one ``_structure`` call on the actual pair, loop indices
-    included, so no entry is inferred from another.
+    included, so no entry is inferred from another.  ``ids`` maps each key
+    to its id.
     """
 
-    __slots__ = ("keys", "n", "width", "rows", "d", "denom")
+    __slots__ = ("keys", "ids", "n", "width", "rows", "d", "denom")
 
     def __init__(self, alg: LoopAlgebra, window: Window):
         window_keys = alg.window_keys(window)
@@ -398,6 +410,7 @@ class _SweepTable:
             row += brackets(k1, columns)
 
         self.keys = keys
+        self.ids = ids
         self.n = len(window_keys)
         self.d = alg.group.field_d
         self.denom, coeffs = _scaled_rows([[None if t is None else t[1] for t in row] for row in raw], self.d)
@@ -405,6 +418,10 @@ class _SweepTable:
             [None if t is None else (ids[t[0]], *c) for t, c in zip(row, crow)]
             for row, crow in zip(raw, coeffs)
         ]
+
+    def coefficient(self, entry: tuple) -> Scalar:
+        """The scalar that a nonzero entry ``(out, a, b)`` multiplies ``keys[out]`` by."""
+        return Scalar.from_parts(entry[1], entry[2], self.denom, self.d)
 
     def pair_values(self, value) -> list:
         """``value(keys[i], keys[c])`` for window ids i and column ids c, as table rows.
@@ -462,6 +479,115 @@ class _SweepTable:
                                 return bad, count
                             break
         return bad, count
+
+    def pair_witnesses(self, structure, image_of, leibniz: bool, limit: int) -> PairWitnesses:
+        """Window key pairs, ids i <= j, where op = ``image_of`` does not take
+        [keys[i], keys[j]] to [op keys[i], keys[j]] + [keys[i], op keys[j]]
+        (``leibniz``) or to [op keys[i], op keys[j]].
+
+        Every window row is computed before the sweep starts, so an operator
+        undefined somewhere on the window raises whatever the limit.  The rows
+        of the keys that window pairs reach follow in the order the sweep
+        meets them; one that raises is raised at the first pair that needs it.
+        The operator rows, the table and the brackets it does not hold (from
+        ``structure`` on the ordered pair, once per id pair) are scaled to one
+        common denominator.  ``structure`` is passed in because a table that
+        kept the algebra's would keep every dropped algebra alive until the
+        cycle collector ran.
+        """
+        rows, n, width = self.rows, self.n, self.width
+        keys, ids = list(self.keys), dict(self.ids)
+        images = {i: image_of(keys[i]) for i in range(n)}
+        failure = None
+        for mid in dict.fromkeys(t[0] for i in range(n) for t in rows[i][i:n] if t is not None):
+            if mid not in images:
+                try:
+                    images[mid] = image_of(keys[mid])
+                except Exception as exc:  # whatever it is, raised again at the first pair that needs the row
+                    failure = exc
+                    break
+
+        def id_of(key: BasisKey) -> int:
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(keys)
+                keys.append(key)
+            return i
+
+        # the operator rows as (id, a, b) terms over one denominator o; over Q an
+        # operator may still carry the square root of its own coefficients
+        d = self.d or max((c.d for image in images.values() for c in image.terms.values()), default=0)
+        o, scaled = _scaled_rows([list(image.terms.values()) for image in images.values()], d)
+        image_rows = {
+            i: [(id_of(key), a, b) for key, (a, b) in zip(image.terms, coeffs)]
+            for (i, image), coeffs in zip(images.items(), scaled)
+        }
+        # the right-hand side of (i, j) is the sum over its factor pairs (P, Q) of
+        # [p, q] for p in P and q in Q; ``unit[i]`` is keys[i] itself
+        unit = [((i, o, 0),) for i in range(n)]
+
+        def factors(i: int, j: int) -> tuple:
+            if leibniz:
+                return (image_rows[i], unit[j]), (unit[i], image_rows[j])
+            return ((image_rows[i], image_rows[j]),)
+
+        # the brackets outside the table, once per id pair, over one denominator
+        # that the table's divides
+        missing = {}
+        for i in range(n):
+            for j in range(i, n):
+                for left, right in factors(i, j):
+                    for x, _, _ in left:
+                        for y, _, _ in right:
+                            if x >= n or y >= width:
+                                missing[x, y] = None
+        outside = [structure(keys[x], keys[y]) for x, y in missing]
+        denom, scaled = _scaled_rows([[None if t is None else t[1] for t in outside]], d, self.denom)
+        extra = {
+            xy: None if t is None else (id_of(t[0]), *c) for xy, t, c in zip(missing, outside, scaled[0])
+        }
+        f = denom // self.denom
+        if f != 1:
+            rows = [[None if t is None else (t[0], t[1] * f, t[2] * f) for t in row] for row in rows]
+
+        # every term below is an integer pair over o * o * denom
+        bad = PairWitnesses()
+        count = 0
+        for i in range(n):
+            row_i = rows[i]
+            for j in range(i, n):
+                count += 1
+                acc: dict = {}
+                t = row_i[j]
+                if t is not None:
+                    mid, a1, b1 = t
+                    image = image_rows.get(mid)
+                    if image is None:
+                        raise failure
+                    a1, b1 = a1 * o, b1 * o
+                    for out, a2, b2 in image:
+                        a, b = acc.get(out, (0, 0))
+                        acc[out] = (a - a1 * a2 - b1 * b2 * d, b - a1 * b2 - a2 * b1)
+                for left, right in factors(i, j):
+                    for x, a1, b1 in left:
+                        row_x = rows[x] if x < n else None
+                        for y, a2, b2 in right:
+                            t = row_x[y] if row_x is not None and y < width else extra[x, y]
+                            if t is None:
+                                continue
+                            out, a3, b3 = t
+                            ca, cb = a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1
+                            a, b = acc.get(out, (0, 0))
+                            acc[out] = (a + ca * a3 + cb * b3 * d, b + ca * b3 + cb * a3)
+                for a, b in acc.values():
+                    if a or b:
+                        bad.append((keys[i], keys[j]))
+                        if len(bad) >= limit:
+                            bad.pairs = count
+                            return bad
+                        break
+        bad.pairs = count
+        return bad
 
 
 def _scaled_rows(rows: list, d: int, denom: int = 1) -> tuple:

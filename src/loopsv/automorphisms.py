@@ -22,7 +22,6 @@ from .derivations import (
     _fit_affine,
     _linear_image,
     _m_line,
-    _pair_witnesses,
     _shear_violation,
     operators_agree,
 )
@@ -289,8 +288,8 @@ def automorphism_defect(alg: LoopAlgebra, sigma: Operator, x: Element, y: Elemen
 
 
 def automorphism_witnesses(alg: LoopAlgebra, sigma: Operator, window: Window, limit: int = 10) -> list:
-    """Window key pairs where sigma fails to respect the bracket."""
-    return _pair_witnesses(alg, sigma, window, limit, leibniz=False)
+    """Window key pairs where sigma fails to respect the bracket; ``.pairs`` counts the pairs compared."""
+    return alg._sweep_table(window).pair_witnesses(alg._structure, sigma.apply_key, False, limit)
 
 
 def tuple_word(alg: LoopAlgebra, a, shifts, chi, r, eps: int, b) -> Word:

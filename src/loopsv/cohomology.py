@@ -361,7 +361,6 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
     rest = CombinationCocycle(
         alg, [(ONE, phi)] + [(-c_k, make_phi_k(alg, k)) for k, c_k in classes.items()]
     ).value
-    d, denom = table.d, table.denom
     for i1 in range(n):
         k1, row = keys[i1], table.rows[i1]
         for i2 in range(i1 + 1, n):
@@ -370,7 +369,7 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
             if t is not None:
                 fv = f_tot.value(table.keys[t[0]])
                 if fv:
-                    v = v - Scalar.from_parts(t[1], t[2], denom, d) * fv
+                    v = v - table.coefficient(t) * fv
             if not v:
                 continue
             if {k1.kind, k2.kind} == {"L", "M"}:

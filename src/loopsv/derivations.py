@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .algebra import BasisKey, Element, LoopAlgebra, Window, _scaled_rows
+from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .errors import DomainError, ShapeError
 from .groups import GroupData
 from .laurent import LaurentPoly
@@ -66,28 +66,12 @@ class Operator:
     def __call__(self, x: Element) -> Element:
         return _linear_image(self.alg, x, self.apply_key)
 
-    def _combined_degree(self, other: "Operator") -> Scalar | None:
-        if self.degree is not None and other.degree is not None and self.degree == other.degree:
-            return self.degree
-        return None
-
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        return Operator(
-            self.alg,
-            lambda key: self.apply_key(key) + other.apply_key(key),
-            self._combined_degree(other),
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return Operator(
-            self.alg,
-            lambda key: self.apply_key(key) - other.apply_key(key),
-            self._combined_degree(other),
-        )
+        same = self.degree is not None and other.degree is not None and self.degree == other.degree
+        degree = self.degree if same else None
+        return Operator(self.alg, lambda key: self.apply_key(key) + other.apply_key(key), degree)
 
     @staticmethod
     def zero(alg: LoopAlgebra) -> "Operator":
@@ -284,115 +268,8 @@ def derivation_defect(alg: LoopAlgebra, D: Operator, x: Element, y: Element) -> 
 
 
 def derivation_witnesses(alg: LoopAlgebra, D: Operator, window: Window, limit: int = 10) -> list:
-    """Window key pairs where the Leibniz rule fails (expected: none)."""
-    return _pair_witnesses(alg, D, window, limit, leibniz=True)
-
-
-def _pair_witnesses(alg: LoopAlgebra, op: Operator, window: Window, limit: int, leibniz: bool) -> list:
-    """Window key pairs, k2 at or after k1, where ``op`` of [k1, k2] differs from
-    [op k1, k2] + [k1, op k2] (``leibniz``) or from [op k1, op k2].
-
-    Every window row is computed before the sweep starts, so an operator
-    undefined somewhere on the window raises whatever the limit.  The rows of
-    the keys that window pairs reach follow in the order the sweep meets
-    them; one that raises is raised at the first pair that needs it.
-
-    The sweep runs on integers: the operator rows, the window's cached
-    ``_SweepTable`` and the brackets the table does not hold (from
-    ``alg._structure`` on the ordered pair, once per id pair) are each scaled
-    by one common denominator, as the table is.
-    """
-    table = alg._sweep_table(window)
-    rows, n, width = table.rows, table.n, table.width
-    keys = list(table.keys)
-    ids = {key: i for i, key in enumerate(keys)}
-    images = {i: op.apply_key(keys[i]) for i in range(n)}
-    failure = None
-    for mid in dict.fromkeys(t[0] for i in range(n) for t in rows[i][i:n] if t is not None):
-        if mid not in images:
-            try:
-                images[mid] = op.apply_key(keys[mid])
-            except Exception as exc:  # whatever it is, raised again at the first pair that needs the row
-                failure = exc
-                break
-
-    def id_of(key: BasisKey) -> int:
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(keys)
-            keys.append(key)
-        return i
-
-    # the operator rows as (id, a, b) terms over one denominator o; over Q an
-    # operator may still carry the square root of its own coefficients
-    d = table.d or max((c.d for image in images.values() for c in image.terms.values()), default=0)
-    o, scaled = _scaled_rows([list(image.terms.values()) for image in images.values()], d)
-    image_rows = {
-        i: [(id_of(key), a, b) for key, (a, b) in zip(image.terms, coeffs)]
-        for (i, image), coeffs in zip(images.items(), scaled)
-    }
-    # the right-hand side of (i, j) is the sum over its factor pairs (P, Q) of
-    # [p, q] for p in P and q in Q; ``unit[i]`` is keys[i] itself
-    unit = [((i, o, 0),) for i in range(n)]
-
-    def factors(i: int, j: int) -> tuple:
-        if leibniz:
-            return (image_rows[i], unit[j]), (unit[i], image_rows[j])
-        return ((image_rows[i], image_rows[j]),)
-
-    # the brackets outside the table, once per id pair, over one denominator
-    # that the table's divides
-    missing = {}
-    for i in range(n):
-        for j in range(i, n):
-            for left, right in factors(i, j):
-                for x, _, _ in left:
-                    for y, _, _ in right:
-                        if x >= n or y >= width:
-                            missing[x, y] = None
-    outside = [alg._structure(keys[x], keys[y]) for x, y in missing]
-    denom, scaled = _scaled_rows([[None if t is None else t[1] for t in outside]], d, table.denom)
-    extra = {
-        xy: None if t is None else (id_of(t[0]), *c) for xy, t, c in zip(missing, outside, scaled[0])
-    }
-    f = denom // table.denom
-    if f != 1:
-        rows = [[None if t is None else (t[0], t[1] * f, t[2] * f) for t in row] for row in rows]
-
-    # every term below is an integer pair over o * o * denom
-    bad = []
-    for i in range(n):
-        row_i = rows[i]
-        for j in range(i, n):
-            acc: dict = {}
-            t = row_i[j]
-            if t is not None:
-                mid, a1, b1 = t
-                image = image_rows.get(mid)
-                if image is None:
-                    raise failure
-                a1, b1 = a1 * o, b1 * o
-                for out, a2, b2 in image:
-                    a, b = acc.get(out, (0, 0))
-                    acc[out] = (a - a1 * a2 - b1 * b2 * d, b - a1 * b2 - a2 * b1)
-            for left, right in factors(i, j):
-                for x, a1, b1 in left:
-                    row_x = rows[x] if x < n else None
-                    for y, a2, b2 in right:
-                        t = row_x[y] if row_x is not None and y < width else extra[x, y]
-                        if t is None:
-                            continue
-                        out, a3, b3 = t
-                        ca, cb = a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1
-                        a, b = acc.get(out, (0, 0))
-                        acc[out] = (a + ca * a3 + cb * b3 * d, b + ca * b3 + cb * a3)
-            for a, b in acc.values():
-                if a or b:
-                    bad.append((keys[i], keys[j]))
-                    if len(bad) >= limit:
-                        return bad
-                    break
-    return bad
+    """Window key pairs where the Leibniz rule fails (expected: none); ``.pairs`` counts pairs compared."""
+    return alg._sweep_table(window).pair_witnesses(alg._structure, D.apply_key, True, limit)
 
 
 def operators_agree(A: Operator, B: Operator, keys) -> BasisKey | None:
@@ -499,15 +376,10 @@ def canonical_decompose_degree0(alg: LoopAlgebra, D: Operator, window: Window) -
 
     f_at: dict = {}
     g_at: dict = {}
-
-    # D_rho kills loop index 0, where every read below sits
-    def read_L(gamma: Scalar):
+    for gamma in gammas:  # D_rho kills loop index 0, where every read sits
         image = D.apply_key(alg.key("L", gamma, 0))
         split = _split_parts(image, gamma, ("L", "M"), 0, f"D(L({gamma},0))")
-        return split["L"], split["M"]
-
-    for gamma in gammas:
-        f_at[gamma], g_at[gamma] = read_L(gamma)
+        f_at[gamma], g_at[gamma] = split["L"], split["M"]
 
     for a in gammas:
         for b_ in gammas:
@@ -518,17 +390,13 @@ def canonical_decompose_degree0(alg: LoopAlgebra, D: Operator, window: Window) -
                     witness=(a, b_),
                 )
 
-    def f_value(gamma: Scalar) -> LaurentPoly:
-        if gamma in f_at:
-            return f_at[gamma]
-        return read_L(gamma)[0]
-
+    # every tau and 2*tau has T-coordinates of at most 2, inside the window
     images = []
     for tau in group.t_basis:
         if group.in_gamma(tau):
-            images.append(f_value(tau))
+            images.append(f_at[tau])
         else:
-            images.append(HALF * f_value(tau + tau))
+            images.append(HALF * f_at[tau + tau])
     f = HomToLaurent(tuple(images))
 
     u, v, off = _fit_affine(g_at, LaurentPoly.zero())

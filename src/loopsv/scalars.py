@@ -86,9 +86,14 @@ def _ratio_str(n: int, m: int) -> str:
 
 
 def _integer_ratio(x) -> tuple[int, int]:
-    """``(numerator, denominator)`` of an int, a Fraction, or what ``Fraction()`` reads."""
+    """``(numerator, denominator)`` of an int, a Fraction, or what ``Fraction()`` reads.
+
+    A float is refused: its binary value is rarely the number that was meant.
+    """
     if isinstance(x, int):
         return int(x), 1
+    if isinstance(x, float):
+        raise TypeError(f"cannot make an exact Scalar from the float {x!r}")
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return x.numerator, x.denominator

@@ -249,6 +249,18 @@ class TestFactor:
             rebuilt = got.to_word(alg)
             assert operators_agree(rebuilt, w, alg.window_keys(window)) is None
 
+    def test_root2_round_trip(self, root2_alg):
+        # T-basis (1/2, sqrt2): the twist at sqrt2, in Gamma, is read through M(sqrt2, 0)
+        assert root2_alg.group.in_gamma(root2_alg.group.t_basis[1])
+        window = Window(1, 1)
+        w = tuple_word(root2_alg, 1, (1, -1), (2, 3), 5, -1, Fraction(1, 2))
+        got = factor(root2_alg, w, window)
+        assert (got.a, got.r, got.eps, got.b) == (ONE, Scalar(5), -1, Scalar.of(Fraction(1, 2)))
+        assert got.shifts == (1, -1)
+        assert got.chi == (Scalar(2), Scalar(3))
+        assert got.inner == ()
+        assert operators_agree(got.to_word(root2_alg), w, root2_alg.window_keys(window)) is None
+
     def test_conjugated_inner_has_trivial_leading_part(self, alg, m, window):
         P = tuple_word(alg, Scalar(-1), (1,), (Scalar(2),), Scalar(3), -1, Scalar(2))
         x = m("M", 1, 0, 2) + m("Y", Fraction(-1, 2), 1)

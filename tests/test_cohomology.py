@@ -226,6 +226,20 @@ class TestReduce:
         assert all(e.kind == "boundary" for e in got.residual)
         assert got.residual_payload() != "0"
 
+    @pytest.mark.parametrize("generators, s", [(["2"], "1"), (["2/3", "1/2"], "1/12")])
+    @pytest.mark.parametrize("kk", [0, 1])
+    def test_class_correction_is_folded_into_f_when_4s2_is_not_1(self, generators, s, kk):
+        # phi_k differs from the normalized class representative by the
+        # coboundary of an L(0,k) bump, which is zero only when 4s^2 = 1
+        alg = LoopAlgebra(GroupData.from_config({"field": "Q", "gamma_generators": generators, "s": s}))
+        window = Window(2, 1)
+        f = rand_functional(alg, random.Random(29), window)
+        c = Scalar(Fraction(5, 2))
+        phi = CombinationCocycle(alg, [(c, make_phi_k(alg, kk)), (ONE, make_coboundary(alg, f))])
+        got = reduce_cocycle(alg, phi, window)
+        assert got.classes == {kk: c}
+        assert got.residual_zero()
+
     def test_payload_shapes(self, alg, window):
         phi = CombinationCocycle(alg, [(Scalar(3), make_phi_k(alg, 0))])
         got = reduce_cocycle(alg, phi, window)

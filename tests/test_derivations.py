@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -65,11 +66,15 @@ def poly(alg, text):
 
 def reference_pairs(alg, op, window, limit, leibniz):
     """The pair sweep on the element path: op([x, y]) against [op x, y] + [x, op y]
-    (``leibniz``) or [op x, op y], for window keys y at or after x."""
+    (``leibniz``) or [op x, op y], for window keys y at or after x.
+
+    Returns the witnesses and the number of pairs compared."""
     keys = alg.window_keys(window)
     bad = []
+    count = 0
     for i, k1 in enumerate(keys):
         for k2 in keys[i:]:
+            count += 1
             x, y = alg.monomial(k1), alg.monomial(k2)
             if leibniz:
                 rhs = alg.bracket(op(x), y) + alg.bracket(x, op(y))
@@ -78,17 +83,22 @@ def reference_pairs(alg, op, window, limit, leibniz):
             if op(alg.bracket(x, y)) != rhs:
                 bad.append((k1, k2))
                 if len(bad) >= limit:
-                    return bad
-    return bad
+                    return bad, count
+    return bad, count
+
+
+def with_pairs(found) -> tuple:
+    """A pair sweep's witnesses and its pair count, as ``reference_pairs`` returns them."""
+    return found, found.pairs
 
 
 def assert_pair_sweeps_match(alg, D, word, window, limit) -> tuple:
-    """Both sweeps against the reference; returns the two witness lists."""
+    """Both sweeps, witnesses and pair counts, against the reference; returns the two witness lists."""
     leibniz = reference_pairs(alg, D, window, limit, True)
     respect = reference_pairs(alg, word, window, limit, False)
-    assert derivation_witnesses(alg, D, window, limit) == leibniz
-    assert automorphism_witnesses(alg, word, window, limit) == respect
-    return leibniz, respect
+    assert with_pairs(derivation_witnesses(alg, D, window, limit)) == leibniz
+    assert with_pairs(automorphism_witnesses(alg, word, window, limit)) == respect
+    return leibniz[0], respect[0]
 
 
 @pytest.fixture
@@ -292,7 +302,7 @@ class TestPairSweep:
         for leibniz, sweep in ((True, derivation_witnesses), (False, automorphism_witnesses)):
             outcomes = []
             for run in (lambda: reference_pairs(alg, table_operator(alg, rows), window, limit, leibniz),
-                        lambda: sweep(alg, table_operator(alg, rows), window, limit)):
+                        lambda: with_pairs(sweep(alg, table_operator(alg, rows), window, limit))):
                 try:
                     outcomes.append(run())
                 except DomainError as exc:
@@ -303,7 +313,7 @@ class TestPairSweep:
             if limit == 10**6 or (limit == 5 and not leibniz):
                 assert outcomes[0] == f"operator table has no entry for {reached[3]}"
             else:
-                assert len(outcomes[0]) == limit
+                assert len(outcomes[0][0]) == limit
 
     def test_word_is_an_operator(self, alg):
         word = Word(alg, [])
@@ -399,6 +409,19 @@ class TestCanonicalDecompose:
             got = canonical_decompose_degree0(alg, D, small_window)
             assert got == cand
             assert operators_agree(got.to_operator(alg), D, alg.window_keys(small_window)) is None
+
+    def test_root2_round_trip(self, root2_alg):
+        # T-basis (1/2, sqrt2): f at sqrt2, which lies in Gamma, is read off L(sqrt2, 0)
+        assert root2_alg.group.in_gamma(root2_alg.group.t_basis[1])
+        window = Window(1, 1)
+        p = partial(poly, root2_alg)
+        cand = CanonicalDerivation(
+            p("t^2"), HomToLaurent((p("t"), p("2*t^-1"))), GAffine(p("sqrt2*t"), p("1")), p("3")
+        )
+        D = cand.to_operator(root2_alg)
+        got = canonical_decompose_degree0(root2_alg, D, window)
+        assert got == cand
+        assert operators_agree(got.to_operator(root2_alg), D, root2_alg.window_keys(window)) is None
 
     def test_rejects_Y_shaped_image(self, alg, small_window):
         keys = alg.window_keys(small_window)

@@ -75,3 +75,5 @@ def test_parse_errors(anyalg):
         parse_laurent(anyalg, "2*")
     with pytest.raises(ParseError):
         parse_laurent(anyalg, "")
+    with pytest.raises(ParseError, match=r"parenthesized coefficient needs '\*'"):
+        parse_laurent(anyalg, "(2)t")

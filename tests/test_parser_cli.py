@@ -53,7 +53,7 @@ class TestParseElement:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "L(1,0", "L(1,0))", "X(1,0)", "2*", "L(1,0) + + L(2,0)", "L(1,0) L(2,0)", "3/2 M(0,3)"],
+        ["", "L(1,0", "L(1,0))", "X(1,0)", "2*", "L(1,0) + + L(2,0)", "L(1,0) L(2,0)", "3/2 M(0,3)", "(2)L(1,0)"],
     )
     def test_malformed_text(self, alg, bad):
         with pytest.raises(ParseError):
@@ -447,6 +447,16 @@ class TestCliFailures:
         doc.write_text(json.dumps([{"twirl": "1"}]))
         proc = run_cli("factor-automorphism", str(doc), "--gamma-height", "2", "--loop-bound", "1")
         assert proc.returncode == 2
+
+    def test_lm_diagonal_is_diagnosed(self, tmp_path):
+        doc = tmp_path / "cocycle.json"
+        doc.write_text(json.dumps({"table": [["L(1,0)", "M(-1,0)", "1"]]}))
+        proc = run_cli("cocycle-class", str(doc), "--json", "--gamma-height", "2", "--loop-bound", "1")
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert len(report["witnesses"]) == 17
+        diagonal = [d for d in report["payload"]["diagnostics"] if d.startswith("L-M diagonal at ")]
+        assert len(diagonal) == 3
 
     def test_corrupted_cocycle_table_fails_check(self, alg, tmp_path, small_window):
         from loopsv import make_phi_k

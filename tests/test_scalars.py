@@ -158,6 +158,13 @@ def test_comparison_with_a_float_is_refused():
         1.0 > Scalar(1)
 
 
+def test_constructor_refuses_a_float():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    for a, b in ((0.1, 0), (1, 0.5), (2.0, 0)):
+        with pytest.raises(TypeError):
+            Scalar(a, b, 2)
+
+
 def test_constructor_refuses_a_radicand_that_is_not_one():
     # 4 and 8 are not squarefree: (2 - sqrt4) is 0 and sqrt8 is 2*sqrt2
     for d in (4, 8, 9, 12):
