@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import GroupMismatchError, InvalidKeyError, OutputError
 from .groups import GroupData
-from .scalars import Scalar, ZERO, _signed_sum
+from .scalars import Scalar, ZERO, _nonzero, _signed_sum
 
 __all__ = [
     "BasisKey",
@@ -28,9 +28,6 @@ __all__ = [
     "antisymmetry_witnesses",
     "jacobi_witnesses",
 ]
-
-KINDS = ("L", "M", "Y")
-
 
 def _nat(n: int) -> int:
     """The integers one-to-one onto the naturals: 0, -1, 1, -2, ... to 0, 1, 2, 3, ...
@@ -99,14 +96,8 @@ class Element:
     __slots__ = ("group", "_terms")
 
     def __init__(self, group: GroupData, terms=None):
-        cleaned = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = Scalar.of(coeff)
-                if coeff:
-                    cleaned[key] = coeff
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "_terms", cleaned)
+        object.__setattr__(self, "_terms", _nonzero(terms.items()) if terms else {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -375,7 +366,8 @@ class _SweepTable:
     Ids ``0..n-1`` are the window keys in ``window_keys`` order.  Each key
     that a bracket of two window keys reaches gets the next id; these
     ``width`` ids index the columns.  Keys reached by bracketing a window key
-    with a column key get ids past ``width`` and only appear as outputs.
+    with a column key get ids past ``width`` and only appear as outputs, as
+    do the keys that the pair sweeps meet later.
 
     ``rows[i][j]`` is None when ``[keys[i], keys[j]]`` is zero, and otherwise
     ``(out, a, b)`` with ``[keys[i], keys[j]] = (a + b*sqrt(d)) / denom *
@@ -389,8 +381,8 @@ class _SweepTable:
 
     def __init__(self, alg: LoopAlgebra, window: Window):
         window_keys = alg.window_keys(window)
-        keys = list(window_keys)
-        ids = {key: i for i, key in enumerate(keys)}
+        self.keys = keys = list(window_keys)
+        self.ids = ids = {key: i for i, key in enumerate(keys)}
         structure = alg._structure
 
         def brackets(k1, others) -> list:
@@ -398,8 +390,7 @@ class _SweepTable:
             for k2 in others:
                 t = structure(k1, k2)
                 if t is not None and t[0] not in ids:
-                    ids[t[0]] = len(keys)
-                    keys.append(t[0])
+                    self._id(t[0])
                 row.append(t)
             return row
 
@@ -409,8 +400,6 @@ class _SweepTable:
         for k1, row in zip(window_keys, raw):
             row += brackets(k1, columns)
 
-        self.keys = keys
-        self.ids = ids
         self.n = len(window_keys)
         self.d = alg.group.field_d
         self.denom, coeffs = _scaled_rows([[None if t is None else t[1] for t in row] for row in raw], self.d)
@@ -418,6 +407,14 @@ class _SweepTable:
             [None if t is None else (ids[t[0]], *c) for t, c in zip(row, crow)]
             for row, crow in zip(raw, coeffs)
         ]
+
+    def _id(self, key: BasisKey) -> int:
+        """The id of ``key``; a key the table has not met gets the next one."""
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return i
 
     def coefficient(self, entry: tuple) -> Scalar:
         """The scalar that a nonzero entry ``(out, a, b)`` multiplies ``keys[out]`` by."""
@@ -491,12 +488,12 @@ class _SweepTable:
         meets them; one that raises is raised at the first pair that needs it.
         The operator rows, the table and the brackets it does not hold (from
         ``structure`` on the ordered pair, once per id pair) are scaled to one
-        common denominator.  ``structure`` is passed in because a table that
+        common denominator, and the keys they name that the table has not met
+        get ids on the table.  ``structure`` is passed in because a table that
         kept the algebra's would keep every dropped algebra alive until the
         cycle collector ran.
         """
-        rows, n, width = self.rows, self.n, self.width
-        keys, ids = list(self.keys), dict(self.ids)
+        keys, rows, n, width, id_of = self.keys, self.rows, self.n, self.width, self._id
         images = {i: image_of(keys[i]) for i in range(n)}
         failure = None
         for mid in dict.fromkeys(t[0] for i in range(n) for t in rows[i][i:n] if t is not None):
@@ -506,13 +503,6 @@ class _SweepTable:
                 except Exception as exc:  # whatever it is, raised again at the first pair that needs the row
                     failure = exc
                     break
-
-        def id_of(key: BasisKey) -> int:
-            i = ids.get(key)
-            if i is None:
-                i = ids[key] = len(keys)
-                keys.append(key)
-            return i
 
         # the operator rows as (id, a, b) terms over one denominator o; over Q an
         # operator may still carry the square root of its own coefficients

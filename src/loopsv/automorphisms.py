@@ -513,7 +513,7 @@ def factor(alg: LoopAlgebra, sigma: Operator, window: Window) -> FactoredAutomor
                 f"shear value at offset {_lowest_offset(line - prev)} depends on the loop index",
                 witness=(key.gamma, key.loop),
             )
-    u, v, off = _fit_affine(lines, _NO_POLY)
+    u, v, off = _fit_affine(lines)
     e = GAffine(u, v)
     if off is not None:
         d = _lowest_offset(e.value(off) - lines[off])

@@ -63,7 +63,6 @@ from .parser import parse_element, parse_key, parse_laurent
 from .scalars import ONE, ZERO, Scalar
 
 DEFAULT_WINDOW = Window(3, 3)
-PAIR_LIMIT = 10  # witnesses after which a pair sweep stops
 
 
 # -- configuration ----------------------------------------------------------------
@@ -282,12 +281,6 @@ def cocycle_from_doc(alg: LoopAlgebra, doc: dict):
     return CombinationCocycle(alg, terms)
 
 
-def _g_payload(g) -> dict:
-    if isinstance(g, GAffine):
-        return {"affine": [str(g.u), str(g.v)]}
-    return {"table": {str(k): str(v) for k, v in sorted(g.values.items(), key=lambda kv: str(kv[0]))}}
-
-
 # -- reporting ----------------------------------------------------------------------
 
 
@@ -335,9 +328,9 @@ def cmd_check(alg, window, args) -> int:
     elif what in ("derivation", "automorphism"):
         doc = _read_json(_require_file(args))
         if what == "derivation":
-            bad = derivation_witnesses(alg, derivation_from_doc(alg, doc), window, PAIR_LIMIT)
+            bad = derivation_witnesses(alg, derivation_from_doc(alg, doc), window)
         else:
-            bad = automorphism_witnesses(alg, word_from_doc(alg, doc), window, PAIR_LIMIT)
+            bad = automorphism_witnesses(alg, word_from_doc(alg, doc), window)
         witnesses = [_pair_str(w) for w in bad]
         payload = {"pairs": bad.pairs}
     else:  # cocycle
@@ -379,7 +372,7 @@ def cmd_decompose(alg, window, args) -> int:
     payload = {
         "rho": str(pieces.rho),
         "f": [str(img) for img in pieces.f.images],
-        "g": _g_payload(pieces.g),
+        "g": {"affine": [str(pieces.g.u), str(pieces.g.v)]},
         "b": str(pieces.b),
         "inner": str(inner),
         "residual": "0",

@@ -20,7 +20,7 @@ from functools import partial
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .errors import DomainError, GroupMismatchError, NotACocycleError, ShapeError
-from .scalars import Scalar, ZERO, ONE, _signed_sum
+from .scalars import Scalar, ZERO, ONE, _nonzero, _signed_sum
 
 __all__ = [
     "LinearFunctional",
@@ -48,12 +48,7 @@ class LinearFunctional:
     __slots__ = ("_values",)
 
     def __init__(self, values: dict | None = None):
-        vals = {}
-        for key, coeff in (values or {}).items():
-            coeff = Scalar.of(coeff)
-            if coeff:
-                vals[key] = coeff
-        self._values = vals
+        self._values = _nonzero(values.items()) if values else {}
 
     def value(self, key: BasisKey) -> Scalar:
         return self._values.get(key, ZERO)
@@ -304,7 +299,7 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
     keys, n = table.keys[: table.n], table.n
 
     # the support: the window keys and every key a bracket of two of them reaches
-    f = normalizing_functional(alg, phi, sorted(table.keys[: table.width], key=lambda k: k.sort_key()))
+    f = normalizing_functional(alg, phi, table.keys[: table.width])
 
     prime = CombinationCocycle(alg, [(ONE, phi), (-ONE, make_coboundary(alg, f))]).value
 
@@ -402,11 +397,7 @@ class ExtendedElement:
 
     def __init__(self, element: Element, central: dict | None = None):
         object.__setattr__(self, "element", element)
-        cleaned = {}
-        for k, coeff in (central or {}).items():
-            coeff = Scalar.of(coeff)
-            if coeff:
-                cleaned[int(k)] = coeff
+        cleaned = _nonzero((int(k), c) for k, c in central.items()) if central else {}
         object.__setattr__(self, "central", cleaned)
 
     def __setattr__(self, name, value):

@@ -47,15 +47,18 @@ class Operator:
     and keeps it on the operator, so repeated sweeps and sums of operators
     reuse it.  ``degree`` is an optional declared weight shift: every output
     term of a degree-gamma operator sits at the input weight plus gamma.
+    A sum keeps the flat tuple of its summands' ``apply_key`` methods and
+    adds their rows in one pass, so sums do not nest.
     """
 
-    __slots__ = ("alg", "degree", "_row", "_rows")
+    __slots__ = ("alg", "degree", "_row", "_rows", "_summands")
 
     def __init__(self, alg: LoopAlgebra, row, degree: Scalar | None = None):
         self.alg = alg
         self._row = row
         self.degree = degree
         self._rows: dict = {}
+        self._summands = None
 
     def apply_key(self, key: BasisKey) -> Element:
         out = self._rows.get(key)
@@ -69,13 +72,25 @@ class Operator:
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        same = self.degree is not None and other.degree is not None and self.degree == other.degree
-        degree = self.degree if same else None
-        return Operator(self.alg, lambda key: self.apply_key(key) + other.apply_key(key), degree)
+        degree = self.degree if self.degree is not None and self.degree == other.degree else None
+        summands = (self._summands or (self.apply_key,)) + (other._summands or (other.apply_key,))
+        out = Operator(self.alg, partial(_sum_row, self.alg, summands), degree)
+        out._summands = summands
+        return out
 
     @staticmethod
     def zero(alg: LoopAlgebra) -> "Operator":
         return Operator(alg, lambda key: alg.zero(), ZERO)
+
+
+def _sum_row(alg: LoopAlgebra, summands: tuple, key: BasisKey) -> Element:
+    """The sum of ``row(key)`` over the summand rows, added up in one dict."""
+    acc: dict = {}
+    for row in summands:
+        for out_key, c in row(key).terms.items():
+            prev = acc.get(out_key)
+            acc[out_key] = c if prev is None else prev + c
+    return Element(alg.group, acc)
 
 
 def _linear_image(alg: LoopAlgebra, x: Element, row) -> Element:
@@ -399,13 +414,14 @@ def canonical_decompose_degree0(alg: LoopAlgebra, D: Operator, window: Window) -
             images.append(HALF * f_at[tau + tau])
     f = HomToLaurent(tuple(images))
 
-    u, v, off = _fit_affine(g_at, LaurentPoly.zero())
-    g = GAffine(u, v) if off is None else GTable(g_at)
+    u, v, off = _fit_affine(g_at)
+    if off is not None:
+        raise ShapeError(f"not degree-zero-derivation-shaped: the shear is not affine at {off}", witness=off)
 
     img = D.apply_key(alg.key("M", ZERO, 0))
     b = _split_parts(img, ZERO, ("M",), 0, "D(M(0,0))")["M"]
 
-    cand = CanonicalDerivation(rho, f, g, b)
+    cand = CanonicalDerivation(rho, f, GAffine(u, v), b)
     witness = operators_agree(cand.to_operator(alg), D, alg.window_keys(window))
     if witness is not None:
         raise ShapeError(
@@ -415,15 +431,15 @@ def canonical_decompose_degree0(alg: LoopAlgebra, D: Operator, window: Window) -
     return cand
 
 
-def _fit_affine(values: dict, zero):
-    """Fit values[gamma] = u*gamma + v: (u, v, first gamma off that line or None).
+def _fit_affine(values: dict):
+    """Fit Laurent values[gamma] = u*gamma + v: (u, v, first gamma off that line or None).
 
-    v is the value at 0 (``zero`` if absent) and u comes from the first
-    nonzero gamma in the dict's order.
+    v is the value at 0 (zero if absent) and u comes from the first nonzero
+    gamma in the dict's order.
     """
-    v = values.get(ZERO, zero)
+    v = values.get(ZERO, _NO_POLY)
     pivot = next((gamma for gamma in values if gamma), None)
-    u = zero if pivot is None else (values[pivot] - v) * pivot.inverse()
+    u = _NO_POLY if pivot is None else (values[pivot] - v) * pivot.inverse()
     off = next((gamma for gamma, value in values.items() if u * gamma + v != value), None)
     return u, v, off
 

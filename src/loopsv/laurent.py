@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, _coeff_str
+from .scalars import Scalar, ZERO, _coeff_str, _nonzero
 
 __all__ = ["LaurentPoly"]
 
@@ -15,12 +15,7 @@ class LaurentPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
-        cleaned = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Scalar.of(c)
-                if c:
-                    cleaned[int(e)] = c
+        cleaned = _nonzero((int(e), c) for e, c in coeffs.items()) if coeffs else {}
         object.__setattr__(self, "_coeffs", cleaned)
 
     def __setattr__(self, name, value):

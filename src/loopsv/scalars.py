@@ -390,6 +390,16 @@ def _coerce(x) -> Scalar:
     return _canonical(x.numerator, 0, x.denominator, 0)
 
 
+def _nonzero(pairs) -> dict:
+    """``{key: Scalar.of(c)}`` over the (key, c) pairs, with the zero coefficients dropped."""
+    out = {}
+    for key, c in pairs:
+        c = Scalar.of(c)
+        if c:
+            out[key] = c
+    return out
+
+
 def _join(d1: int, d2: int) -> int:
     """The radicand of a result with operands over d1 and d2 (0 for Q)."""
     if d1 == d2 or not d2:

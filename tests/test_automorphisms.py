@@ -32,6 +32,8 @@ from loopsv import (
     make_D_g,
     make_ad,
     operators_agree,
+    parse_element,
+    parse_key,
     tuple_word,
 )
 
@@ -302,6 +304,39 @@ class TestFactor:
             factor(alg, Word(alg, [SquareShear()]), Window(2, 1))
         assert err.value.step == "shear"
         assert err.value.witness == Scalar(-1)  # pivot -2 fixes u = -2, and -1 is the first index off the line
+
+    @pytest.mark.parametrize(
+        "rows, step, message, witness",
+        [
+            ({"L(0,0)": "L(0,0) + L(1,0)"}, "scale", "expected a single L term, got L(0,0) + L(1,0)", None),
+            ({"L(0,0)": "M(0,0)"}, "scale", "expected a L term in M(0,0)", None),
+            ({"L(0,0)": "L(0,1)"}, "scale", "image of L(0,0) has L part at L(0,1)", None),
+            ({"M(0,0)": "M(0,0) + Y(1/2,0)"}, "loop-scale", "image of M(0,0) is not a multiple of M(0,0)", None),
+            ({"M(0,1)": "M(0,2)"}, "loop-scale", "image of M(0,1) sits at M(0,2)", None),
+            ({"Y(1/2,0)": "Y(-1/2,0)"}, "char-twist", "image index of 1/2 is -1/2, expected 1/2", None),
+            ({"L(1,0)": "L(1,0) + Y(3/2,0)"}, "shear", "residual at L(1,0) contains Y(3/2,0)", "L(1,0)"),
+            ({"M(1,0)": "2*M(1,0)"}, "recompose", "factored word disagrees at M(1,0)", "M(1,0)"),
+        ],
+        ids=["scale-two-L", "scale-no-L", "scale-moved", "loop-scale-M00", "loop-scale-M01", "char-twist", "shear", "recompose"],
+    )
+    def test_refusal_names_its_step(self, alg, rows, step, message, witness):
+        # each word moves one key, fixes the rest, and loads.  Step ``unipotent``
+        # is not here: it cannot refuse, because every generator keeps a key's
+        # kind, so the leading word's inverse takes a*L(0,0) plus M and Y terms
+        # back to L(0,0) plus M and Y terms
+        class Rows:
+            def validate(self, alg):
+                pass
+
+            def apply_key(self, alg, key):
+                text = rows.get(str(key))
+                return alg.monomial(key) if text is None else parse_element(alg, text)
+
+        with pytest.raises(FactorError) as err:
+            factor(alg, Word(alg, [Rows()]), Window(2, 1))
+        assert err.value.step == step
+        assert str(err.value) == f"{step}: {message}"
+        assert err.value.witness == (None if witness is None else parse_key(alg, witness))
 
     def test_describe_shape(self, alg, window):
         got = factor(alg, Word(alg, [ZFlip()]), window)

@@ -187,6 +187,13 @@ class TestReduce:
         assert alt.classes == default.classes == {0: ONE}
         assert alt.diagnostics == ()
 
+    def test_pivot_cross_check_names_the_degree_where_pivots_disagree(self, alg, k):
+        # a lone value at (L(2,0), L(-2,0)) reads as a class through pivot 2 but not through pivot 3
+        phi = TableCocycle(alg, {(k("L", 2, 0), k("L", -2, 0)): 1})
+        got = reduce_cocycle(alg, phi, Window(3, 1))
+        assert got.classes_payload() == {"0": "2"}
+        assert "pivot cross-check at degree 0: 2 from 2, 0 from 3" in got.diagnostics
+
     def test_inadmissible_pivot_is_rejected(self, alg, window):
         with pytest.raises(ShapeError):
             reduce_cocycle(alg, make_phi_k(alg, 0), window, pivot=1)

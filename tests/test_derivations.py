@@ -323,6 +323,37 @@ class TestPairSweep:
         assert sys.getrefcount(word) == 2
 
 
+class TestOperatorSum:
+    def test_long_sum_adds_its_rows_in_one_pass(self, alg, m):
+        # a sum that nested one call per summand ran out of stack near 600 summands
+        D = Operator.zero(alg)
+        for j in range(2000):
+            D = D + make_ad(alg, m("M", 1, j))
+        # [M(1,j), L(0,0)] = -M(1,j)
+        assert D.apply_key(alg.key("L", 0, 0)) == alg.element({alg.key("M", 1, j): -1 for j in range(2000)})
+        assert D.degree is None
+
+    def test_sum_of_sums_reuses_each_summand_row(self, alg, m, small_window):
+        calls = Counter()
+
+        def counted(op):
+            def row(key):
+                calls[key] += 1
+                return op.apply_key(key)
+
+            return Operator(alg, row, op.degree)
+
+        parts = [make_D_rho(alg, poly(alg, "t")), make_D_b(alg, poly(alg, "t^2")), make_ad(alg, m("L", 0, 1))]
+        A, B, C = (counted(op) for op in parts)
+        nested = (A + B) + (C + A)
+        flat = A + B + C + A
+        for key in alg.window_keys(small_window):
+            want = parts[0].apply_key(key) * 2 + parts[1].apply_key(key) + parts[2].apply_key(key)
+            assert nested.apply_key(key) == flat.apply_key(key) == want, key
+        assert nested.degree == flat.degree == ZERO
+        assert set(calls.values()) == {3}  # once in each of A, B and C per key
+
+
 class TestDegreeSplit:
     def test_split_of_mixed_inner(self, alg, m, small_window):
         z1 = m("L", 1, 0)
@@ -441,6 +472,30 @@ class TestCanonicalDecompose:
         table = {key: image(key) for key in keys}
         with pytest.raises(ShapeError, match="inconsistent f"):
             canonical_decompose_degree0(alg, table_operator(alg, table, ZERO), small_window)
+
+    def test_rejects_a_shear_off_the_affine_line(self, alg, small_window):
+        # L(gamma,0) -> gamma^2 M(gamma,0): rho, f and b read as zero, but g(gamma) = gamma^2 is not affine
+        def image(key):
+            if key.kind == "L" and key.loop == 0:
+                return alg.monomial(alg.key("M", key.gamma, 0), key.gamma * key.gamma)
+            return alg.zero()
+
+        table = {key: image(key) for key in alg.window_keys(small_window)}
+        with pytest.raises(ShapeError, match="the shear is not affine at -1$") as err:
+            canonical_decompose_degree0(alg, table_operator(alg, table, ZERO), small_window)
+        assert err.value.witness == Scalar(-1)  # pivot -2 fixes u = -2, and -1 is the first index off the line
+
+    def test_rejects_a_row_the_pieces_do_not_explain(self, alg):
+        # D_b for b = t, with Y(-3/2,-1) added to its own row: every piece reads
+        # as D_b's, and the window check finds the first key where they disagree
+        window = Window(2, 1)
+        D_b = make_D_b(alg, poly(alg, "t"))
+        table = {key: D_b.apply_key(key) for key in alg.window_keys(window)}
+        bad = alg.key("Y", Fraction(-3, 2), -1)
+        table[bad] = table[bad] + alg.monomial(bad)
+        with pytest.raises(ShapeError, match=r"canonical pieces disagree at Y\(-3/2,-1\)$") as err:
+            canonical_decompose_degree0(alg, table_operator(alg, table, ZERO), window)
+        assert err.value.witness == bad
 
     def test_weight_zero_inner_folds_into_f(self, alg, m, small_window):
         # ad L(0,j) acts diagonally by (gamma) t^j, so it lands in the f slot.

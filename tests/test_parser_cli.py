@@ -448,6 +448,15 @@ class TestCliFailures:
         proc = run_cli("factor-automorphism", str(doc), "--gamma-height", "2", "--loop-bound", "1")
         assert proc.returncode == 2
 
+    def test_word_that_loads_but_does_not_factor(self, tmp_path):
+        # the shear table moves L(1,0) alone, so its shear line depends on the loop index
+        doc = tmp_path / "word.json"
+        doc.write_text(json.dumps([{"m-shear": {"table": [["1", 0, 0, "1"]]}}]))
+        proc = run_cli("factor-automorphism", str(doc), "--gamma-height", "2", "--loop-bound", "1")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: shear: shear value at offset 0 depends on the loop index\n"
+
     def test_lm_diagonal_is_diagnosed(self, tmp_path):
         doc = tmp_path / "cocycle.json"
         doc.write_text(json.dumps({"table": [["L(1,0)", "M(-1,0)", "1"]]}))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from loopsv import GroupData
 from loopsv import Scalar, Window, g_constraint_space, nullspace, shear_constraint_space
@@ -88,6 +89,43 @@ class TestGSpace:
             u, v = fit_affine(values, gammas)
             for g in gammas:
                 assert values.get(g, ZERO) == u * g + v
+
+
+small_rationals = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+
+
+@st.composite
+def solver_groups(draw):
+    """A group of rank one over Q or Q(sqrt d), or of rank two over Q(sqrt d), for d in 2, 3, 5."""
+    d = draw(st.sampled_from([0, 2, 3, 5]))
+
+    def irrational():
+        return Scalar(draw(small_rationals), draw(small_rationals), d)
+
+    gens = [irrational() if d and draw(st.booleans()) else Scalar(draw(small_rationals))]
+    if d and draw(st.booleans()):
+        second = irrational()
+        assume((second / gens[0]).parts()[1])  # independent over Q: the ratio is irrational
+        gens.append(second)
+    # s is half a combination of the generators with an odd coefficient, so s is not in Gamma
+    halves = [draw(st.sampled_from([-1, 1]))] + [draw(st.integers(-1, 2)) for _ in gens[1:]]
+    if draw(st.booleans()):
+        halves.reverse()
+    shift = sum((Scalar(Fraction(e, 2)) * g for e, g in zip(halves, gens)), ZERO)
+    return GroupData(gens, shift, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(solver_groups(), st.sampled_from([1, 2]))
+def test_shear_constraint_has_only_affine_solutions(group, height):
+    # the premise of reading a derivation's shear as u*gamma + v: on every window the
+    # compatibility relation leaves exactly the two-dimensional affine family
+    basis, gammas = g_constraint_space(group, Window(height, 0))
+    assert len(basis) == 2
+    for values in basis:
+        u, v = fit_affine(values, gammas)
+        for g in gammas:
+            assert values.get(g, ZERO) == u * g + v
 
 
 class TestShearSpace:
