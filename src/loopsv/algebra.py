@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import GroupMismatchError, InvalidKeyError, OutputError
 from .groups import GroupData
-from .scalars import Scalar, ZERO, _nonzero, _signed_sum
+from .scalars import Scalar, ZERO, _SparseVector, _signed_sum
 
 __all__ = [
     "BasisKey",
@@ -90,17 +89,17 @@ class BasisKey:
         return f"BasisKey({str(self)})"
 
 
-class Element:
+class Element(_SparseVector):
     """Finite scalar combination of basis keys, tied to one group configuration."""
 
-    __slots__ = ("group", "_terms")
+    __slots__ = ()
 
     def __init__(self, group: GroupData, terms=None):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "_terms", _nonzero(terms.items()) if terms else {})
+        super().__init__(group, terms.items() if terms else ())
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
+    @property
+    def group(self) -> GroupData:
+        return self._space
 
     @property
     def terms(self) -> dict:
@@ -108,53 +107,6 @@ class Element:
 
     def items_sorted(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def coefficient(self, key: BasisKey) -> Scalar:
-        return self._terms.get(key, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def _check_group(self, other: "Element"):
-        if self.group is not other.group:
-            raise GroupMismatchError("elements belong to different group configurations")
-
-    def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._check_group(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            prev = out.get(key)
-            out[key] = coeff if prev is None else prev + coeff
-        return Element(self.group, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Element(self.group, {k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            c0 = Scalar.of(other)
-            return Element(self.group, {k: c * c0 for k, c in self._terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.group is other.group and self._terms == other._terms
 
     def __str__(self):
         return _signed_sum((str(key), coeff) for key, coeff in self.items_sorted())
@@ -177,7 +129,7 @@ class Window:
 
     def __post_init__(self):
         if self.gamma_height < 1 or self.loop_bound < 0:
-            raise ValueError("window bounds must be positive")
+            raise ValueError("gamma_height must be >= 1 and loop_bound >= 0")
 
     def loops(self) -> range:
         return range(-self.loop_bound, self.loop_bound + 1)

@@ -458,13 +458,11 @@ def factor(alg: LoopAlgebra, sigma: Operator, window: Window) -> FactoredAutomor
     resid = tau_map(key_l00)
     a_part: dict = {}
     b_part: dict = {}
+    # every generator keeps a key's kind, so the L part of the residual is L(0,0) itself
     for key, coeff in resid.terms.items():
-        if key.kind == "L":
-            if key != key_l00 or coeff != ONE:
-                raise FactorError("unipotent", f"residual image of L(0,0) contains {coeff}*{key}")
-        elif key.kind == "M":
+        if key.kind == "M":
             a_part[key] = coeff
-        else:
+        elif key.kind == "Y":
             b_part[key] = coeff
 
     x_y = Element(group, {key: -coeff / key.gamma for key, coeff in b_part.items()})
@@ -531,20 +529,24 @@ def _lowest_offset(poly: LaurentPoly) -> int:
     return poly.items()[0][0]
 
 
-def iso_test(g1: GroupData, g2: GroupData, height: int = 4) -> Scalar | None:
+# iso_test's candidates are first-lattice points of T-coordinates up to this bound
+ISO_HEIGHT = 4
+
+
+def iso_test(g1: GroupData, g2: GroupData) -> Scalar | None:
     """A scalar a with a*Gamma2 = Gamma1 and a*T2 = T1, or None.
 
-    Candidates are ratios of small elements of the first lattice against the
-    second lattice's basis; every candidate is verified exactly in both
-    directions, so a returned value is always correct.  ``None`` means no
-    candidate up to the search height worked.
+    Candidates are ratios of small elements of the first lattice, up to
+    ``ISO_HEIGHT``, against the second lattice's basis; every candidate is
+    verified exactly in both directions, so a returned value is always
+    correct.  ``None`` means no candidate up to that height worked.
     """
     if g1.field_d != g2.field_d:
         return None
     candidates = []
     seen = set()
     denominators = list(g2.gamma_basis) + [g2.s]
-    for x in g1.t_points(height):
+    for x in g1.t_points(ISO_HEIGHT):
         for den in denominators:
             a = x / den
             if a and a not in seen:

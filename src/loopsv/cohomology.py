@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .errors import DomainError, GroupMismatchError, NotACocycleError, ShapeError
-from .scalars import Scalar, ZERO, ONE, _nonzero, _signed_sum
+from .scalars import Scalar, ZERO, ONE, _SparseVector, _nonzero, _signed_sum
 
 __all__ = [
     "LinearFunctional",
@@ -42,27 +43,19 @@ __all__ = [
 TWELFTH = Scalar(Fraction(1, 12))
 
 
-class LinearFunctional:
+class LinearFunctional(_SparseVector):
     """Finitely supported scalar functional on basis keys."""
 
-    __slots__ = ("_values",)
+    __slots__ = ()
 
     def __init__(self, values: dict | None = None):
-        self._values = _nonzero(values.items()) if values else {}
+        super().__init__(None, values.items() if values else ())
 
-    def value(self, key: BasisKey) -> Scalar:
-        return self._values.get(key, ZERO)
+    # the functional's value on a key is its coefficient there
+    value = _SparseVector.coefficient
 
     def items(self):
-        return sorted(self._values.items(), key=lambda kv: kv[0].sort_key())
-
-    def __bool__(self):
-        return bool(self._values)
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearFunctional):
-            return NotImplemented
-        return self._values == other._values
+        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
     def describe(self) -> dict:
         return {str(key): str(coeff) for key, coeff in self.items()}
@@ -341,12 +334,7 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
     # fold the class correction into the functional: the normalized class
     # representative differs from phi_k by the coboundary of this L(0,k) bump
     h_bump = (four_s_sq - ONE) / Scalar(24)
-    f_values = dict(f._values)
-    if h_bump:
-        for k, c_k in classes.items():
-            key = alg.key("L", ZERO, k)
-            f_values[key] = f_values.get(key, ZERO) + c_k * h_bump
-    f_tot = LinearFunctional(f_values)
+    f_tot = f + h_bump * LinearFunctional({alg.key("L", ZERO, k): c_k for k, c_k in classes.items()})
 
     # Diagnostic: after normalization the L-M column must vanish off the
     # diagonal and be proportional to (a^2 - 2 a s) on it
@@ -390,55 +378,32 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
     return ReducedCocycle(classes, f_tot, tuple(residual), tuple(diagnostics), a0)
 
 
-class ExtendedElement:
-    """Element of the centrally extended algebra: a base part plus C-terms."""
+class ExtendedElement(_SparseVector):
+    """Element of the centrally extended algebra: one sum over basis keys and C-terms.
 
-    __slots__ = ("element", "central")
+    A basis key names a base term and an integer ``k`` names the generator
+    ``C(k)``; ``element`` and ``central`` read the two parts apart.
+    """
+
+    __slots__ = ()
 
     def __init__(self, element: Element, central: dict | None = None):
-        object.__setattr__(self, "element", element)
-        cleaned = _nonzero((int(k), c) for k, c in central.items()) if central else {}
-        object.__setattr__(self, "central", cleaned)
+        pairs = element.terms.items()
+        if central:
+            pairs = chain(pairs, ((int(k), c) for k, c in central.items()))
+        super().__init__(element.group, pairs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("extended elements are immutable")
+    @property
+    def element(self) -> Element:
+        return Element._of(self._space, {k: c for k, c in self._terms.items() if not isinstance(k, int)})
 
-    def is_zero(self) -> bool:
-        return self.element.is_zero() and not self.central
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __add__(self, other):
-        if not isinstance(other, ExtendedElement):
-            return NotImplemented
-        central = dict(self.central)
-        for k, c in other.central.items():
-            central[k] = central.get(k, ZERO) + c
-        return ExtendedElement(self.element + other.element, central)
-
-    def __sub__(self, other):
-        if not isinstance(other, ExtendedElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return ExtendedElement(-self.element, {k: -c for k, c in self.central.items()})
-
-    def __mul__(self, other):
-        c = Scalar.of(other)
-        return ExtendedElement(c * self.element, {k: c * v for k, v in self.central.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtendedElement):
-            return NotImplemented
-        return self.element == other.element and self.central == other.central
+    @property
+    def central(self) -> dict:
+        return {k: c for k, c in self._terms.items() if isinstance(k, int)}
 
     def __str__(self):
         terms = [(str(key), coeff) for key, coeff in self.element.items_sorted()]
-        terms += [(f"C({k})", self.central[k]) for k in sorted(self.central)]
+        terms += [(f"C({k})", coeff) for k, coeff in sorted(self.central.items())]
         return _signed_sum(terms)
 
     def __repr__(self):
@@ -459,7 +424,8 @@ class CentralExtension:
             self.weights = None
         else:
             self.weights = {int(k): Scalar.of(v) for k, v in weights.items() if Scalar.of(v)}
-        # key pair -> (base structure constant, weighted central term (k, w_k*phi_k))
+        # key pair -> (its base term, its base and weighted central term w_k*phi_k at C(k)),
+        # each a tuple of (key, scalar) pairs; _add_bracket indexes it by its central flag
         self._pair_cache: dict[tuple, tuple] = {}
 
     def weight(self, k: int) -> Scalar:
@@ -476,7 +442,9 @@ class CentralExtension:
     def _pair(self, k1: BasisKey, k2: BasisKey) -> tuple:
         k = k1.loop + k2.loop
         value = phi_k_value(k, k1, k2) * self.weight(k)
-        return self.alg.structure(k1, k2), ((k, value) if value else None)
+        sc = self.alg.structure(k1, k2)
+        base = (sc,) if sc is not None else ()
+        return base, (base + ((k, value),) if value else base)
 
     def _base(self, x) -> Element:
         if isinstance(x, ExtendedElement):
@@ -485,52 +453,41 @@ class CentralExtension:
             raise GroupMismatchError("bracket operands use a different group configuration")
         return x
 
-    def _add_bracket(self, x_terms: dict, y_terms: dict, base: dict, central: dict | None) -> None:
-        """Add the bracket of two term dicts into ``base`` and, unless None, ``central``."""
+    def _add_bracket(self, x_terms: dict, y_terms: dict, out: dict, central: bool) -> None:
+        """Add the bracket of two term dicts into ``out``, with its C(k) terms when ``central``."""
         cache = self._pair_cache
         for k1, c1 in x_terms.items():
             for k2, c2 in y_terms.items():
-                tag = (k1, k2)
-                try:
-                    sc, term = cache[tag]
-                except KeyError:
-                    sc, term = cache[tag] = self._pair(k1, k2)
-                if central is None:
-                    term = None
-                if sc is None and term is None:
+                entry = cache.get((k1, k2))
+                if entry is None:
+                    entry = cache[k1, k2] = self._pair(k1, k2)
+                terms = entry[central]
+                if not terms:
                     continue
                 c = c1 * c2
-                if sc is not None:
-                    key, coeff = sc
+                for key, coeff in terms:
                     add = c * coeff
-                    prev = base.get(key)
-                    base[key] = add if prev is None else prev + add
-                if term is not None:
-                    k, value = term
-                    add = c * value
-                    prev = central.get(k)
-                    central[k] = add if prev is None else prev + add
+                    prev = out.get(key)
+                    out[key] = add if prev is None else prev + add
 
     def bracket(self, x, y) -> ExtendedElement:
         x, y = self._base(x), self._base(y)
-        base: dict = {}
-        central: dict = {}
-        self._add_bracket(x.terms, y.terms, base, central)
-        return ExtendedElement(Element(self.alg.group, base), central)
+        out: dict = {}
+        self._add_bracket(x.terms, y.terms, out, True)
+        return ExtendedElement._of(self.alg.group, _nonzero(out.items()))
 
     def jacobi_defect(self, x, y, z) -> ExtendedElement:
-        """[[x, y], z] + [[y, z], x] + [[z, x], y], added up in one base and one central dict.
+        """[[x, y], z] + [[y, z], x] + [[z, x], y], added up in one dict over keys and C(k).
 
         Central terms bracket to zero, so each inner bracket keeps only its base part.
         """
         x, y, z = self._base(x), self._base(y), self._base(z)
-        base: dict = {}
-        central: dict = {}
+        out: dict = {}
         for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
             inner: dict = {}
-            self._add_bracket(u.terms, v.terms, inner, None)
-            self._add_bracket(inner, w.terms, base, central)
-        return ExtendedElement(Element(self.alg.group, base), central)
+            self._add_bracket(u.terms, v.terms, inner, False)
+            self._add_bracket(inner, w.terms, out, True)
+        return ExtendedElement._of(self.alg.group, _nonzero(out.items()))
 
 
 def central_extend(alg: LoopAlgebra, classes: dict | None = None) -> CentralExtension:

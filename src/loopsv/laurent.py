@@ -2,24 +2,18 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import Scalar, ZERO, _coeff_str, _nonzero
+from .scalars import Scalar, _SparseVector, _coeff_str
 
 __all__ = ["LaurentPoly"]
 
 
-class LaurentPoly:
+class LaurentPoly(_SparseVector):
     """Sparse map exponent -> Scalar; zero coefficients are never stored."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        cleaned = _nonzero((int(e), c) for e, c in coeffs.items()) if coeffs else {}
-        object.__setattr__(self, "_coeffs", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+        super().__init__(None, ((int(e), c) for e, c in coeffs.items()) if coeffs else ())
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -35,67 +29,32 @@ class LaurentPoly:
 
     def items(self):
         """Pairs (exponent, coefficient) in ascending exponent order."""
-        return sorted(self._coeffs.items())
-
-    def coefficient(self, exponent: int) -> Scalar:
-        return self._coeffs.get(exponent, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
+        return sorted(self._terms.items())
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, ZERO) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return hash(frozenset(self._terms.items()))
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            out = {}
-            for e1, c1 in self._coeffs.items():
-                for e2, c2 in other._coeffs.items():
-                    e = e1 + e2
-                    prev = out.get(e)
-                    out[e] = c1 * c2 if prev is None else prev + c1 * c2
-            return LaurentPoly(out)
-        if isinstance(other, (Scalar, int, Fraction)):
-            c0 = Scalar.of(other)
-            return LaurentPoly({e: c * c0 for e, c in self._coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
+        if not isinstance(other, LaurentPoly):
+            return _SparseVector.__mul__(self, other)
+        out = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = e1 + e2
+                prev = out.get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+        return LaurentPoly(out)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t**k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+        return LaurentPoly({e + k: c for e, c in self._terms.items()})
 
     def derivative(self) -> "LaurentPoly":
         """d/dt, so t**i maps to i * t**(i-1)."""
-        return LaurentPoly({e - 1: c * e for e, c in self._coeffs.items() if e})
+        return LaurentPoly({e - 1: c * e for e, c in self._terms.items() if e})
 
     def __str__(self):
-        if not self._coeffs:
+        if not self._terms:
             return "0"
         parts = []
         for e, c in self.items():

@@ -10,6 +10,10 @@ those paths.  ``.a`` and ``.b`` give the rational parts of ``a + b*sqrt(d)``
 as Fractions, and ``parts()`` gives the integers themselves.  Every
 operation is closed under the field generated by the operands; mixing two
 different radicands is an error rather than a silent approximation.
+
+``_SparseVector`` is the arithmetic of finite linear combinations with these
+scalars, shared by algebra elements, Laurent polynomials, linear functionals
+and elements of the central extension.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-from .errors import OutputError, ParseError
+from .errors import GroupMismatchError, OutputError, ParseError
 
 __all__ = ["Scalar", "ZERO", "ONE", "HALF", "parse_scalar", "is_squarefree"]
 
@@ -398,6 +402,89 @@ def _nonzero(pairs) -> dict:
         if c:
             out[key] = c
     return out
+
+
+_set = object.__setattr__
+
+
+class _SparseVector:
+    """An immutable finite linear combination: nonzero Scalars by key, in one space.
+
+    ``_space`` is what the operands of ``+`` and ``==`` must share: the group
+    configuration of an algebra element, or None for a type without one.  A
+    subclass brings its constructor, its printing and any product of its own;
+    the vector-space operations below are the same for all of them.
+    """
+
+    __slots__ = ("_space", "_terms")
+
+    def __init__(self, space, pairs):
+        _set(self, "_space", space)
+        _set(self, "_terms", _nonzero(pairs))
+
+    @classmethod
+    def _of(cls, space, terms: dict):
+        """The vector over ``space`` whose terms are ``terms``, all nonzero Scalars already."""
+        out = _new(cls)
+        _set(out, "_space", space)
+        _set(out, "_terms", terms)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def coefficient(self, key) -> Scalar:
+        return self._terms.get(key, ZERO)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._space is other._space and self._terms == other._terms
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self._space is not other._space:
+            raise GroupMismatchError("elements belong to different group configurations")
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            prev = out.get(key)
+            if prev is None:
+                out[key] = coeff
+            else:
+                coeff = prev + coeff
+                if coeff:
+                    out[key] = coeff
+                else:
+                    del out[key]
+        return self._of(self._space, out)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + -other
+
+    def __neg__(self):
+        return self._of(self._space, {key: -c for key, c in self._terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        c0 = Scalar.of(other)
+        # a product of nonzero field elements is nonzero
+        terms = {key: c * c0 for key, c in self._terms.items()} if c0 else {}
+        return self._of(self._space, terms)
+
+    __rmul__ = __mul__
 
 
 def _join(d1: int, d2: int) -> int:

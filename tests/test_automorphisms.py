@@ -320,10 +320,10 @@ class TestFactor:
         ids=["scale-two-L", "scale-no-L", "scale-moved", "loop-scale-M00", "loop-scale-M01", "char-twist", "shear", "recompose"],
     )
     def test_refusal_names_its_step(self, alg, rows, step, message, witness):
-        # each word moves one key, fixes the rest, and loads.  Step ``unipotent``
-        # is not here: it cannot refuse, because every generator keeps a key's
-        # kind, so the leading word's inverse takes a*L(0,0) plus M and Y terms
-        # back to L(0,0) plus M and Y terms
+        # each word moves one key, fixes the rest, and loads; together they
+        # reach every step that refuses.  The residual of L(0,0) has no step of
+        # its own: every generator keeps a key's kind, so the leading word's
+        # inverse takes a*L(0,0) plus M and Y terms back to L(0,0) plus M and Y terms
         class Rows:
             def validate(self, alg):
                 pass
@@ -458,7 +458,7 @@ ISO_GROUPS = {
     "Q5": {"field": {"Q_sqrt": 5}, "gamma_generators": ["1", "1/2+1/2*sqrt5"], "s": "1/4+1/4*sqrt5"},
     "Z+10r2Z": {"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "10*sqrt2"], "s": "1/2"},
 }
-# iso_test at the default height on every ordered pair; pairs not listed give None
+# iso_test on every ordered pair; pairs not listed give None
 ISO_FOUND = {
     ("Z", "Z"): "1", ("Z", "2Z"): "1/2", ("Z", "Q2gen"): "6",
     ("2Z", "Z"): "2", ("2Z", "2Z"): "1", ("2Z", "Q2gen"): "12",

@@ -130,6 +130,12 @@ class TestTableCocycle:
         bad, _ = cocycle_witnesses(alg, TableCocycle(alg, entries), small_window, limit=5)
         assert bad
 
+    def test_value_outside_the_field_is_refused(self, alg, k, small_window):
+        # the sweep table holds values as integer pairs over the algebra's field, Q here
+        phi = TableCocycle(alg, {(k("L", 1, 0), k("L", -1, 0)): Scalar(0, 1, 2)})
+        with pytest.raises(ValueError, match="sqrt2 lies outside the algebra's field"):
+            cocycle_witnesses(alg, phi, small_window)
+
 
 class TestNormalizingFunctional:
     def test_recovers_a_coboundary_functional(self, alg, k, small_window):

@@ -337,6 +337,11 @@ class TestCliFailures:
     def test_zero_gamma_height_is_usage(self):
         assert_usage_error(run_cli("check", "jacobi", "--gamma-height", "0"))
 
+    def test_negative_loop_bound_names_both_bounds(self):
+        proc = run_cli("check", "jacobi", "--loop-bound", "-1")
+        assert_usage_error(proc)
+        assert proc.stderr == "error: bad window bounds: gamma_height must be >= 1 and loop_bound >= 0\n"
+
     @pytest.mark.parametrize(
         "argv, doc",
         [

@@ -5,16 +5,19 @@ Every ``$ lsv ...`` line in the "Command line" section runs through
 section shows with ``$ cat`` are written first; the three it only describes
 in a comment (``classes.json``, ``g1.json``, ``g2.json``) are written here
 from that description.  The Python quick tour runs in-process, and each
-``print`` must match its ``# expected`` comment.
+``print`` must match its ``# expected`` comment.  The package docstring's
+example runs as a doctest.
 """
 
 import contextlib
+import doctest
 import io
 import json
 import re
 import shlex
 from pathlib import Path
 
+import loopsv
 from support import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -91,3 +94,7 @@ def test_quick_tour():
     with contextlib.redirect_stdout(out):
         exec(compile(tour, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_package_docstring_example():
+    assert doctest.testmod(loopsv, verbose=False) == (0, 4)
