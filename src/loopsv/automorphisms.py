@@ -537,23 +537,18 @@ def iso_test(g1: GroupData, g2: GroupData) -> Scalar | None:
     """A scalar a with a*Gamma2 = Gamma1 and a*T2 = T1, or None.
 
     Candidates are ratios of small elements of the first lattice, up to
-    ``ISO_HEIGHT``, against the second lattice's basis; every candidate is
-    verified exactly in both directions, so a returned value is always
-    correct.  ``None`` means no candidate up to that height worked.
+    ``ISO_HEIGHT``, against the second lattice's basis, and the reciprocals of
+    the same ratios with the groups swapped, so swapping the arguments inverts
+    every candidate and ``None`` does not depend on their order.  Every
+    candidate is verified exactly in both directions, so a returned value is
+    always correct.  ``None`` means no candidate up to that height worked.
     """
     if g1.field_d != g2.field_d:
         return None
-    candidates = []
-    seen = set()
-    denominators = list(g2.gamma_basis) + [g2.s]
-    for x in g1.t_points(ISO_HEIGHT):
-        for den in denominators:
-            a = x / den
-            if a and a not in seen:
-                seen.add(a)
-                candidates.append(a)
-    candidates.sort(key=lambda a: (abs(a), a.sign() < 0))
-    for a in candidates:
+    candidates = {x / den for x in g1.t_points(ISO_HEIGHT) for den in (*g2.gamma_basis, g2.s)}
+    candidates |= {num / x for x in g2.t_points(ISO_HEIGHT) if x for num in (*g1.gamma_basis, g1.s)}
+    candidates.discard(ZERO)
+    for a in sorted(candidates, key=lambda a: (abs(a), a.sign() < 0)):
         if g1.carries(g2, a):
             return a
     return None

@@ -194,30 +194,23 @@ def _shear_violation(gammas, loops, e):
     return None
 
 
-class GTable:
-    """Explicit shear table on a finite set of group indices.
+def GTable(values: dict) -> GAffine:
+    """Shear data given by its values on a finite set of group indices.
 
-    Construction checks the compatibility relation
+    The compatibility relation
     (beta - alpha) g(alpha+beta) = beta g(beta) - alpha g(alpha)
-    on every pair whose sum stays inside the table.
+    has only the affine solutions g(alpha) = u*alpha + v, so a table is the
+    ``GAffine(u, v)`` its values at 0 and at its first nonzero index write
+    down.  Every other value must lie on that line; the first one off it is
+    the witness of the refusal.
     """
-
-    def __init__(self, values: dict):
-        self.values = {Scalar.of(k): v for k, v in values.items()}
-        bad = _shear_violation(list(self.values), (0,), lambda gamma, i, k: self.values[gamma])
-        if bad is not None:
-            raise ShapeError("shear table violates the compatibility relation", witness=bad[:2])
-
-    def value(self, gamma: Scalar) -> LaurentPoly:
-        try:
-            return self.values[Scalar.of(gamma)]
-        except KeyError:
-            raise DomainError(f"shear table has no value at {gamma}") from None
-
-    def __eq__(self, other):
-        if isinstance(other, GTable):
-            return self.values == other.values
-        return NotImplemented
+    values = {Scalar.of(k): v for k, v in values.items()}
+    if ZERO not in values or len(values) < 2:
+        raise ShapeError("shear table needs values at 0 and at a nonzero index")
+    u, v, off = _fit_affine(values)
+    if off is not None:
+        raise ShapeError(f"shear table is not affine at {off}", witness=off)
+    return GAffine(u, v)
 
 
 def _degree0_row(alg: LoopAlgebra, rho, f: HomToLaurent, g, b, key: BasisKey) -> Element:
@@ -346,7 +339,7 @@ class CanonicalDerivation:
 
     rho: LaurentPoly
     f: HomToLaurent
-    g: object
+    g: GAffine
     b: LaurentPoly
     inner: Element | None = None
 

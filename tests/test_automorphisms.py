@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from loopsv import (
     CharTwist,
     FactorError,
     GAffine,
+    GroupConfigError,
     GroupData,
     Inner,
     LaurentPoly,
@@ -476,3 +478,35 @@ def test_iso_table_on_seven_groups():
             assert (None if a is None else str(a)) == ISO_FOUND.get((n1, n2)), (n1, n2)
             if a is not None:
                 assert g1.carries(g2, a)
+
+
+SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def scaled_pair(draw):
+    """A random (Gamma, s) over Q, Q(sqrt2), Q(sqrt3) or Q(sqrt5), and its image x*(Gamma, s)."""
+    d = draw(st.sampled_from([0, 2, 3, 5]))
+
+    def field_element():
+        b = draw(SMALL) if d else 0
+        return Scalar(draw(SMALL), b, d if b else 0)
+
+    gens = [draw(st.builds(field_element).filter(bool)) for _ in range(1 if d == 0 else 2)]
+    halves = draw(st.lists(st.sampled_from([0, 1]), min_size=len(gens), max_size=len(gens)).filter(any))
+    s = sum((g for g, e in zip(gens, halves) if e), Scalar(0)) * HALF
+    x = draw(st.builds(field_element).filter(bool))
+    try:
+        return GroupData(gens, s, d), GroupData([x * g for g in gens], x * s, d)
+    except GroupConfigError:  # s fell into Gamma
+        assume(False)
+
+
+@settings(max_examples=8, deadline=None)
+@given(scaled_pair())
+def test_iso_answer_does_not_depend_on_argument_order(pair):
+    g1, g2 = pair
+    forward, backward = iso_test(g1, g2), iso_test(g2, g1)
+    assert (forward is None) == (backward is None)
+    if forward is not None:
+        assert g1.carries(g2, forward) and g2.carries(g1, backward)

@@ -1,12 +1,14 @@
 """Derivation families, degree splitting, and canonical decomposition."""
 
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopsv import (
     CanonicalDerivation,
@@ -511,28 +513,67 @@ class TestGTable:
         u, v = poly(alg, "t"), poly(alg, "1 - t^2")
         values = {g: u * Scalar.of(g) + v for g in range(-3, 4)}
         table = GTable(values)
+        assert table == GAffine(u, v)
         for g in range(-3, 4):
             assert table.value(g) == GAffine(u, v).value(Scalar.of(g))
 
     def test_inconsistent_table_is_rejected(self, alg):
         values = {
+            Scalar(0): LaurentPoly.zero(),
             Scalar(1): poly(alg, "t"),
             Scalar(2): poly(alg, "2*t"),
             Scalar(3): poly(alg, "t"),
         }
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^shear table is not affine at 3$"):
             GTable(values)
 
-    def test_violation_names_the_first_pair_in_table_order(self, alg):
-        values = {Scalar(2): poly(alg, "3*t"), Scalar(1): poly(alg, "t"), Scalar(3): poly(alg, "t")}
-        with pytest.raises(ShapeError, match="^shear table violates the compatibility relation$") as err:
+    def test_first_index_off_the_line_is_the_witness(self, alg):
+        # 0 and the first nonzero index 2 fix the line u = 3/2 t; 1 and 3 are both off it
+        values = {
+            Scalar(0): LaurentPoly.zero(),
+            Scalar(2): poly(alg, "3*t"),
+            Scalar(1): poly(alg, "t"),
+            Scalar(3): poly(alg, "t"),
+        }
+        with pytest.raises(ShapeError, match="^shear table is not affine at 1$") as err:
             GTable(values)
-        assert err.value.witness == (Scalar(2), Scalar(1))
+        assert err.value.witness == Scalar(1)
 
-    def test_lookup_outside_support_raises(self, alg):
-        table = GTable({Scalar(1): poly(alg, "t")})
-        with pytest.raises(ShapeError):
-            table.value(Scalar(5))
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_one_entry_table_is_refused(self, alg, index):
+        with pytest.raises(ShapeError, match="^shear table needs values at 0 and at a nonzero index$"):
+            GTable({Scalar(index): poly(alg, "t")})
+
+    def test_value_past_the_table_is_the_affine_value(self, alg):
+        g = GTable({Scalar(0): poly(alg, "1"), Scalar(1): poly(alg, "t + 1")})
+        assert g.value(Scalar(5)) == poly(alg, "5*t + 1")
+        assert g.value(Scalar(-3)) == poly(alg, "1 - 3*t")
+
+
+small_laurent = st.dictionaries(
+    st.integers(-2, 2), st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=3
+).map(lambda d: LaurentPoly({e: Scalar(c) for e, c in d.items()}))
+
+
+@pytest.mark.parametrize("field", sorted(FAULT_WINDOWS))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_gtable_returns_the_affine_data_and_names_a_perturbed_entry(field, data):
+    group = FAULT_WINDOWS[field][0]()
+    points = [gamma for gamma in group.t_points(2) if gamma]
+    others = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=6, unique=True))
+    order = data.draw(st.permutations([ZERO, *others]))
+    u, v = data.draw(small_laurent), data.draw(small_laurent)
+    values = {gamma: u * gamma + v for gamma in order}
+    assert GTable(values) == GAffine(u, v)
+    pivot = next(gamma for gamma in order if gamma)
+    movable = [gamma for gamma in order if gamma and gamma != pivot]
+    if movable:
+        bad = data.draw(st.sampled_from(movable))
+        values[bad] = values[bad] + data.draw(small_laurent.filter(bool))
+        with pytest.raises(ShapeError, match=f"^shear table is not affine at {re.escape(str(bad))}$") as err:
+            GTable(values)
+        assert err.value.witness == bad
 
 
 class TestHomQuotient:

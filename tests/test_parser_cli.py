@@ -245,6 +245,18 @@ class TestCliBehavior:
         assert proc.returncode == 0
         assert proc.stdout == "pass\n"
 
+    @pytest.mark.parametrize(
+        "flags, out", [((), "pass\n"), (("--json",), '{"status":"pass","payload":{"pairs":903},"witnesses":[]}\n')]
+    )
+    def test_g_table_is_checked_like_its_affine_document(self, tmp_path, flags, out):
+        # the Leibniz sweep reads g at -3 and 3, past the table's last entries
+        table = {"g": {"table": {"-2": "-2*t", "-1": "-t", "0": "0", "1": "t", "2": "2*t"}}}
+        for name, doc in (("table", table), ("affine", {"g": {"affine": ["t", "0"]}})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            proc = run_cli("check", "derivation", str(path), "--gamma-height", "2", "--loop-bound", "1", *flags)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), name
+
     def test_check_automorphism_file(self, tmp_path):
         doc = tmp_path / "word.json"
         doc.write_text(json.dumps([{"z-flip": -1}, {"inner": "M(1,0)"}]))
@@ -318,6 +330,22 @@ class TestCliBehavior:
         proc = run_cli("iso", configs["default.json"], configs["scaled.json"])
         assert proc.returncode == 0
         assert proc.stdout == "1/2\n"
+
+    @pytest.mark.parametrize(
+        "x, gens, s, inverse",
+        [
+            ("99+70*sqrt2", ["99+70*sqrt2", "1400+990*sqrt2"], "99/2+35*sqrt2", "99-70*sqrt2"),
+            ("17+12*sqrt2", ["17+12*sqrt2", "240+170*sqrt2"], "17/2+6*sqrt2", "17-12*sqrt2"),
+        ],
+    )
+    def test_iso_finds_a_rescaling_in_both_orders(self, tmp_path, x, gens, s, inverse):
+        # g2 = x * g1 with g1 = (Z + 10 sqrt2 Z, 1/2): x^-1 carries g2 onto g1, and x carries g1 onto g2
+        g1, g2 = tmp_path / "g1.json", tmp_path / "g2.json"
+        g1.write_text(json.dumps({"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "10*sqrt2"], "s": "1/2"}))
+        g2.write_text(json.dumps({"field": {"Q_sqrt": 2}, "gamma_generators": gens, "s": s}))
+        for first, second, want in ((g1, g2, inverse), (g2, g1, x)):
+            proc = run_cli("iso", str(first), str(second))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
 
     def test_iso_none(self, configs):
         proc = run_cli("iso", configs["default.json"], configs["root2.json"])

@@ -75,6 +75,7 @@ def test_command_line_examples(tmp_path):
         "grade",
         "check jacobi",
         "decompose-derivation",
+        "check derivation",
         "factor-automorphism",
         "cocycle-class",
         "extend",
