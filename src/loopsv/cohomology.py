@@ -424,8 +424,7 @@ class CentralExtension:
             self.weights = None
         else:
             self.weights = {int(k): Scalar.of(v) for k, v in weights.items() if Scalar.of(v)}
-        # key pair -> (its base term, its base and weighted central term w_k*phi_k at C(k)),
-        # each a tuple of (key, scalar) pairs; _add_bracket indexes it by its central flag
+        # key pair -> (its base term, that plus its C(k) term w_k*phi_k), tuples of (key, scalar)
         self._pair_cache: dict[tuple, tuple] = {}
 
     def weight(self, k: int) -> Scalar:
@@ -453,41 +452,52 @@ class CentralExtension:
             raise GroupMismatchError("bracket operands use a different group configuration")
         return x
 
-    def _add_bracket(self, x_terms: dict, y_terms: dict, out: dict, central: bool) -> None:
-        """Add the bracket of two term dicts into ``out``, with its C(k) terms when ``central``."""
-        cache = self._pair_cache
-        for k1, c1 in x_terms.items():
-            for k2, c2 in y_terms.items():
+    def bracket(self, x, y) -> ExtendedElement:
+        x, y = self._base(x), self._base(y)
+        cache, out = self._pair_cache, {}
+        for k1, c1 in x.terms.items():
+            for k2, c2 in y.terms.items():
                 entry = cache.get((k1, k2))
                 if entry is None:
                     entry = cache[k1, k2] = self._pair(k1, k2)
-                terms = entry[central]
-                if not terms:
-                    continue
-                c = c1 * c2
-                for key, coeff in terms:
-                    add = c * coeff
-                    prev = out.get(key)
-                    out[key] = add if prev is None else prev + add
-
-    def bracket(self, x, y) -> ExtendedElement:
-        x, y = self._base(x), self._base(y)
-        out: dict = {}
-        self._add_bracket(x.terms, y.terms, out, True)
+                if entry[1]:
+                    _add_scaled(out, c1 * c2, entry[1])
         return ExtendedElement._of(self.alg.group, _nonzero(out.items()))
 
     def jacobi_defect(self, x, y, z) -> ExtendedElement:
-        """[[x, y], z] + [[y, z], x] + [[z, x], y], added up in one dict over keys and C(k).
+        """[[x, y], z] + [[y, z], x] + [[z, x], y]: the sum over term triples of cx*cy*cz * J(kx, ky, kz).
 
-        Central terms bracket to zero, so each inner bracket keeps only its base part.
+        Central terms bracket to zero, so in J(a, b, c) the inner [a, b] is its base term
+        (key, s) alone, and s times the entry of (key, c) is the outer bracket, C(k) terms
+        included.  Only a nonzero J pays cx*cy*cz.
         """
         x, y, z = self._base(x), self._base(y), self._base(z)
-        out: dict = {}
-        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-            inner: dict = {}
-            self._add_bracket(u.terms, v.terms, inner, False)
-            self._add_bracket(inner, w.terms, out, True)
+        cache, pair, out = self._pair_cache, self._pair, {}
+        for kx, cx in x.terms.items():
+            for ky, cy in y.terms.items():
+                for kz, cz in z.terms.items():
+                    part: dict = {}
+                    for a, b, c in ((kx, ky, kz), (ky, kz, kx), (kz, kx, ky)):
+                        inner = cache.get((a, b))
+                        if inner is None:
+                            inner = cache[a, b] = pair(a, b)
+                        if inner[0]:
+                            key, s = inner[0][0]
+                            outer = cache.get((key, c))
+                            if outer is None:
+                                outer = cache[key, c] = pair(key, c)
+                            _add_scaled(part, s, outer[1])
+                    if any(part.values()):
+                        _add_scaled(out, cx * cy * cz, part.items())
         return ExtendedElement._of(self.alg.group, _nonzero(out.items()))
+
+
+def _add_scaled(out: dict, c: Scalar, terms) -> None:
+    """Add c times each (key, coefficient) pair of ``terms`` into ``out``."""
+    for key, coeff in terms:
+        add = c * coeff
+        prev = out.get(key)
+        out[key] = add if prev is None else prev + add
 
 
 def central_extend(alg: LoopAlgebra, classes: dict | None = None) -> CentralExtension:

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopsv import (
     CombinationCocycle,
+    ExtendedElement,
     GroupData,
     GroupMismatchError,
     LinearFunctional,
@@ -355,6 +357,17 @@ class TestCentralExtension:
         with pytest.raises(GroupMismatchError):
             ext.bracket(ext.wrap(foreign), m2("L", 1, 0))
 
+    @pytest.mark.parametrize("position", range(3))
+    def test_jacobi_defect_refuses_foreign_operand(self, alg, m2, position):
+        other = LoopAlgebra(GroupData.default())
+        foreign = other.monomial(other.key("L", 1, 0))
+        ext = central_extend(alg)
+        for bad in (foreign, ext.wrap(foreign)):
+            operands = [m2("L", 1, 0), m2("M", -1, 0), m2("Y", Fraction(1, 2), 0)]
+            operands[position] = bad
+            with pytest.raises(GroupMismatchError):
+                ext.jacobi_defect(*operands)
+
     def test_element_arithmetic_and_str(self, alg, m2):
         ext = central_extend(alg)
         x = ext.wrap(m2("L", 1, 0)) + ext.C(0, Fraction(1, 2)) - ext.C(2)
@@ -365,6 +378,52 @@ class TestCentralExtension:
         assert y.central == {0: Scalar.of(Fraction(-1, 2)), 2: ONE}
         with pytest.raises(AttributeError):
             x.central = {}
+
+
+NON_UNIT = [Scalar(2), Scalar(-3), HALF, Scalar.of(Fraction(-2, 3)), Scalar.of(Fraction(5, 4))]
+SQRT2_NON_UNIT = NON_UNIT + [Scalar(0, 1, 2), Scalar(Fraction(1, 2), -3, 2)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("weights", [None, {1: 2, -1: 0}, {0: 3}])
+@pytest.mark.parametrize("field", sorted(FAULT_WINDOWS))
+@pytest.mark.parametrize("algebra", [LoopAlgebra, WrongLY])
+def test_jacobi_defect_matches_term_by_term_reference(algebra, field, weights, data):
+    """The key-triple defect against the base bracket plus w_k * phi_k, outside CentralExtension."""
+    make_group, window = FAULT_WINDOWS[field]
+    alg = algebra(make_group())
+    keys = alg.window_keys(window)
+    coeffs = NON_UNIT if field == "Q" else SQRT2_NON_UNIT
+    ext = central_extend(alg, weights)
+
+    def operand(terms):
+        picked = data.draw(st.lists(st.sampled_from(keys), min_size=terms, max_size=terms, unique=True))
+        return alg.element({key: data.draw(st.sampled_from(coeffs)) for key in picked})
+
+    def reference(x, y, z):
+        base, central = alg.zero(), {}
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            inner = alg.bracket(u, v)
+            base = base + alg.bracket(inner, w)
+            for k1, c1 in inner.terms.items():
+                for k2, c2 in w.terms.items():
+                    k = k1.loop + k2.loop
+                    wk = ONE if weights is None else Scalar(weights.get(k, 0))
+                    central[k] = central.get(k, ZERO) + c1 * c2 * wk * phi_k_formula(k, k1, k2)
+        return ExtendedElement(base, central)
+
+    single = [operand(1) for _ in range(3)]
+    multi = [operand(data.draw(st.integers(2, 4))) for _ in range(3)]
+    for x, y, z in (single, multi):
+        got, want = ext.jacobi_defect(x, y, z), reference(x, y, z)
+        assert got == want
+        assert str(got) == str(want)
+        if algebra is LoopAlgebra:
+            assert not want
+        # C(k) parts of the operands bracket to zero
+        extended = [ExtendedElement(u, {data.draw(st.integers(-2, 2)): c}) for u, c in zip((x, y, z), coeffs)]
+        assert ext.jacobi_defect(*extended) == want
 
 
 def phi_k_formula(k, k1, k2):
