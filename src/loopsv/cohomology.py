@@ -259,6 +259,12 @@ class ReducedCocycle:
         ]
 
 
+def _pivot_scale(a: Scalar, four_s_sq: Scalar) -> Scalar:
+    """a(a^2 - 4s^2): on L(a,i), L(-a,k-i) a normalized cocycle of class c*phi_k
+    takes c/12 times this, so a pivot must not make it zero."""
+    return a * (a * a - four_s_sq)
+
+
 def _pivots(alg: LoopAlgebra, window: Window):
     s = alg.group.s
     four_s_sq = (s + s) * (s + s)
@@ -267,7 +273,7 @@ def _pivots(alg: LoopAlgebra, window: Window):
     for a in sorted((g for g in gammas if g.sign() > 0), key=abs):
         if a * a * a == a:
             continue
-        if a * (a * a - four_s_sq) == ZERO:
+        if _pivot_scale(a, four_s_sq) == ZERO:
             continue
         out.append(a)
     return out
@@ -306,7 +312,7 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
         raise DomainError("window has no admissible extraction pivot")
     a0 = pivots[0]
     four_s_sq = (s + s) * (s + s)
-    denom0 = a0 * (a0 * a0 - four_s_sq)
+    denom0 = _pivot_scale(a0, four_s_sq)
 
     bound = window.loop_bound
     classes: dict = {}
@@ -325,7 +331,7 @@ def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -
             classes[k] = c_k
         for alt in pivots[1:2]:
             alt_val = prime(alg.key("L", alt, i), alg.key("L", -alt, j))
-            alt_ck = alt_val * 12 / (alt * (alt * alt - four_s_sq))
+            alt_ck = alt_val * 12 / _pivot_scale(alt, four_s_sq)
             if alt_ck != c_k:
                 diagnostics.append(
                     f"pivot cross-check at degree {k}: {c_k} from {a0}, {alt_ck} from {alt}"

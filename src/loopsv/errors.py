@@ -21,7 +21,12 @@ __all__ = [
 
 
 class LsvError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; ``witness`` is None
+    unless the error names the data where a violation was observed."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class GroupConfigError(LsvError):
@@ -43,10 +48,6 @@ class ShapeError(LsvError):
     observed.
     """
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class DomainError(ShapeError):
     """A value was asked for where the data is not defined, or the window is too
@@ -57,17 +58,12 @@ class FactorError(LsvError):
     """Automorphism factorization failed; ``step`` names the stage."""
 
     def __init__(self, step, message, witness=None):
-        super().__init__(f"{step}: {message}")
+        super().__init__(f"{step}: {message}", witness)
         self.step = step
-        self.witness = witness
 
 
 class NotACocycleError(LsvError):
     """Bilinear form fails antisymmetry or the cocycle identity."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class OutputError(LsvError):

@@ -1,25 +1,31 @@
 """Text forms of elements and Laurent polynomials.
 
 The grammar mirrors what ``str()`` prints, so parse and print are mutually
-inverse on canonical values:
+inverse on canonical values.  Both forms are one signed sum of terms, and
+differ only in the atom a term multiplies:
 
-    element  :=  ['+'|'-'] term (('+'|'-') term)*
-    term     :=  [coeff '*'] atom
-    atom     :=  ('L'|'M'|'Y') '(' scalar ',' integer ')'
-    laurent  :=  ['+'|'-'] lterm (('+'|'-') lterm)*
-    lterm    :=  coeff ['*' power] | power
-    power    :=  't' ['^' integer]
+    sum    :=  ['+'|'-'] term (('+'|'-') term)*
+    term   :=  [coeff '*'] atom
+    coeff  :=  scalar | '(' scalar ')'
+    atom   :=  key                                     (an element)
+            |  power                                   (a Laurent polynomial)
+    key    :=  ('L'|'M'|'Y') '(' scalar ',' integer ')'
+    power  :=  't' ['^' integer]  |  nothing, for t^0
 
 A coeff is a scalar literal; composite literals like 1+sqrt2 must be wrapped
 in parentheses when they multiply something, which is exactly how the
-printers emit them.  Grammar failures raise ParseError with a position;
-membership failures (a Y index outside the coset, say) surface as the
-algebra's own errors, which already name the offending value.
+printers emit them.  Whitespace may stand around the signs, '*', the
+parentheses, ',' and '^'; a key's letter and its '(' must touch.  A power
+term may also leave its coefficient blank, as in ``*t`` or ``()``, which
+reads as 1.  Grammar failures raise ParseError with a position and what was
+expected; membership failures (a Y index outside the coset, say) surface as
+the algebra's own errors, which already name the offending value.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Callable, NamedTuple
 
 from .algebra import BasisKey, Element, LoopAlgebra
 from .errors import ParseError
@@ -28,13 +34,14 @@ from .scalars import ONE, Scalar
 
 __all__ = ["parse_element", "parse_key", "parse_laurent"]
 
-_ATOM_START = re.compile(r"[LMY]\(")
+_KEY_START = re.compile(r"[LMY]\(")
 _INTEGER = re.compile(r"^[+-]?\d+$")
+_PAREN = re.compile(r"\(([^)]*)\)\s*")  # a parenthesized coefficient and the space after it
 
 
 def _require_text(text) -> str:
     if not isinstance(text, str):
-        raise ParseError(f"expected a string, got {text!r}")
+        raise ParseError(f"expected a string, got {text!r}", expected="a string")
     return text
 
 
@@ -59,7 +66,7 @@ def _split_terms(text: str):
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced ')'", position=pos)
+                raise ParseError("unbalanced ')'", position=pos, expected="a '(' before it")
         elif depth == 0 and ch in "+-" and prev not in ("", "^", "*", "+", "-"):
             chunks.append((sign, s[start:pos], start))
             sign = -1 if ch == "-" else 1
@@ -77,7 +84,7 @@ def _split_terms(text: str):
             start = pos
         prev = ch
     if depth:
-        raise ParseError("unbalanced '('", position=len(s))
+        raise ParseError("unbalanced '('", position=len(s), expected="')'")
     if start is None:
         raise ParseError("expected a term", position=len(s), expected="term")
     chunks.append((sign, s[start:], start))
@@ -100,139 +107,104 @@ def _integer(text: str, what: str, position: int) -> int:
         raise ParseError(f"{what} has too many digits", position=position, expected="integer") from None
 
 
-def _parse_atom(alg: LoopAlgebra, chunk: str, offset: int) -> BasisKey:
-    m = _ATOM_START.match(chunk)
-    if not m:
-        raise ParseError(
-            "expected a basis atom", position=offset, expected="L(, M( or Y("
-        )
-    close = chunk.find(")")
+def _key(alg: LoopAlgebra, text: str, offset: int) -> BasisKey:
+    if not _KEY_START.match(text):
+        raise ParseError("expected a basis atom", position=offset, expected="L(, M( or Y(")
+    close = text.find(")")
     if close == -1:
-        raise ParseError("unclosed atom", position=offset + len(chunk), expected=")")
-    if chunk[close + 1 :].strip():
+        raise ParseError("unclosed atom", position=offset + len(text), expected=")")
+    if text[close + 1 :].strip():
         raise ParseError(
-            f"unexpected trailing input {chunk[close + 1:].strip()!r}",
+            f"unexpected trailing input {text[close + 1:].strip()!r}",
             position=offset + close + 1,
+            expected="end of the term",
         )
-    inside = chunk[2:close]
+    inside = text[2:close]
     comma = inside.find(",")
     if comma == -1:
         raise ParseError("atom needs two indices", position=offset + close, expected=",")
     gamma = _scalar(alg, inside[:comma], offset + 2)
     loop = _integer(inside[comma + 1 :].strip(), "loop index", offset + 3 + comma)
-    return alg.key(chunk[0], gamma, loop)
+    return alg.key(text[0], gamma, loop)
 
 
-def _closing_paren(chunk: str, offset: int) -> int:
-    """Position of the ')' that closes the '(' opening ``chunk``."""
-    depth = 0
-    for pos, ch in enumerate(chunk):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return pos
-    raise ParseError("unbalanced '('", position=offset)
+def _power(alg: LoopAlgebra, text: str, offset: int) -> int:
+    """The exponent k of ``t^k``; ``t`` is t^1, and a power left out is t^0."""
+    if not text:
+        return 0
+    base, caret, exponent = text.partition("^")
+    if base.rstrip() != "t":
+        raise ParseError(f"expected a power of t, got {text!r}", position=offset, expected="t^k")
+    return _integer(exponent.strip(), "exponent", offset) if caret else 1
 
 
-def _parse_term(alg: LoopAlgebra, chunk: str, offset: int):
-    chunk = chunk.strip()
-    if chunk.startswith("("):
-        pos = _closing_paren(chunk, offset)
-        coeff = _scalar(alg, chunk[1:pos], offset + 1)
-        rest = chunk[pos + 1 :].strip()
-        if not rest.startswith("*"):
+class _Atom(NamedTuple):
+    """What a term's coefficient multiplies, and how to read it."""
+
+    joint: re.Pattern  # where the atom starts: at the term's start, or after its coefficient's '*'
+    read: Callable  # (alg, text, offset) -> the atom's value
+    optional: bool  # a term may be a bare coefficient, and a blank coefficient reads as 1
+
+
+_KEY = _Atom(re.compile(rf"(^|\*)\s*(?={_KEY_START.pattern})"), _key, False)
+_POWER = _Atom(re.compile(r"(^|\*)\s*(?=t)"), _power, True)
+
+
+def _term(alg: LoopAlgebra, text: str, offset: int, atom: _Atom):
+    """(coefficient, atom value) of one ``[coeff '*'] atom`` term starting at ``offset``.
+
+    The coefficient is read before the atom, so a malformed coefficient is a
+    ParseError even where the atom names a key outside the algebra.
+    """
+    text = text.rstrip()
+    coeff_at = offset
+    paren = _PAREN.match(text)
+    if paren:  # '(' coeff ')' ['*' atom]
+        coeff_text, coeff_at, rest = paren.group(1), offset + 1, text[paren.end() :]
+        if rest[:1] not in ("", "*"):
             raise ParseError(
-                "parenthesized coefficient needs '*'",
-                position=offset + pos + 1,
-                expected="*",
+                "parenthesized coefficient needs '*'", position=offset + paren.end(), expected="*"
             )
-        return coeff, _parse_atom(alg, rest[1:].strip(), offset + pos + 2)
-    m = _ATOM_START.search(chunk)
-    if m is None:
-        raise ParseError(
-            "expected a basis atom", position=offset, expected="L(, M( or Y("
-        )
-    if m.start() == 0:
-        return ONE, _parse_atom(alg, chunk, offset)
-    head = chunk[: m.start()].strip()
-    if not head.endswith("*"):
-        raise ParseError(
-            "coefficient and atom must be joined by '*'",
-            position=offset + m.start(),
-            expected="*",
-        )
-    coeff = _scalar(alg, head[:-1], offset)
-    return coeff, _parse_atom(alg, chunk[m.start() :], offset + m.start())
+        atom_text = rest[1:].lstrip()
+    else:
+        joint = atom.joint.search(text)
+        if joint is None and atom.optional:  # a bare coefficient
+            coeff_text, atom_text = text, ""
+        elif joint is None or not joint.group(1):  # an atom alone, or text its reader refuses
+            coeff_text, atom_text = None, text
+        else:  # coeff '*' atom
+            coeff_text, atom_text = text[: joint.start()], text[joint.end() :]
+    if coeff_text is None or (atom.optional and not coeff_text.strip()):
+        coeff = ONE
+    else:
+        coeff = _scalar(alg, coeff_text, coeff_at)
+    return coeff, atom.read(alg, atom_text, offset + len(text) - len(atom_text))
+
+
+def _sum(alg: LoopAlgebra, text: str, atom: _Atom) -> dict:
+    """The signed terms of ``text`` added up by atom value, in one dict."""
+    terms: dict = {}
+    if _require_text(text).strip() == "0":
+        return terms
+    for sign, chunk, offset in _split_terms(text):
+        coeff, value = _term(alg, chunk, offset, atom)
+        if sign < 0:
+            coeff = -coeff
+        prev = terms.get(value)
+        terms[value] = coeff if prev is None else prev + coeff
+    return terms
 
 
 def parse_element(alg: LoopAlgebra, text: str) -> Element:
     """Parse the element grammar; inverse of Element.__str__."""
-    s = _require_text(text).strip()
-    if not s:
-        raise ParseError("empty element", position=0, expected="term")
-    if s == "0":
-        return alg.zero()
-    out = alg.zero()
-    for sign, chunk, offset in _split_terms(text):
-        coeff, key = _parse_term(alg, chunk, offset)
-        if sign < 0:
-            coeff = -coeff
-        out = out + alg.monomial(key, coeff)
-    return out
+    return alg.element(_sum(alg, text, _KEY))
 
 
 def parse_key(alg: LoopAlgebra, text: str) -> BasisKey:
     """A single bare basis key like ``L(1,0)``; no coefficient, no sum."""
-    return _parse_atom(alg, _require_text(text).strip(), 0)
-
-
-def _parse_laurent_term(alg: LoopAlgebra, chunk: str, offset: int):
-    chunk = chunk.strip()
-    if chunk.startswith("("):
-        pos = _closing_paren(chunk, offset)
-        rest = chunk[pos + 1 :].strip()
-        if rest and not rest.startswith("*"):
-            raise ParseError(
-                "parenthesized coefficient needs '*'",
-                position=offset + pos + 1,
-                expected="*",
-            )
-        tail = rest[1:].strip() if rest else ""
-        return _laurent_pieces(alg, chunk[1:pos], tail, offset)
-    star = chunk.rfind("*")
-    if star != -1 and chunk[star + 1 :].strip().startswith("t"):
-        return _laurent_pieces(alg, chunk[:star], chunk[star + 1 :].strip(), offset)
-    if chunk == "t" or chunk.startswith("t^"):
-        return _laurent_pieces(alg, "", chunk, offset)
-    return _laurent_pieces(alg, chunk, "", offset)
-
-
-def _laurent_pieces(alg: LoopAlgebra, coeff_text: str, power_text: str, offset: int):
-    coeff = ONE if not coeff_text.strip() else _scalar(alg, coeff_text, offset)
-    if not power_text:
-        return coeff, 0
-    if power_text == "t":
-        return coeff, 1
-    if power_text.startswith("t^"):
-        return coeff, _integer(power_text[2:], "exponent", offset)
-    raise ParseError(
-        f"expected a power of t, got {power_text!r}", position=offset, expected="t^k"
-    )
+    return _key(alg, _require_text(text).strip(), 0)
 
 
 def parse_laurent(alg: LoopAlgebra, text: str) -> LaurentPoly:
     """Parse the Laurent grammar; inverse of LaurentPoly.__str__."""
-    s = _require_text(text).strip()
-    if not s:
-        raise ParseError("empty polynomial", position=0, expected="term")
-    if s == "0":
-        return LaurentPoly.zero()
-    coeffs: dict = {}
-    for sign, chunk, offset in _split_terms(text):
-        coeff, exp = _parse_laurent_term(alg, chunk, offset)
-        if sign < 0:
-            coeff = -coeff
-        coeffs[exp] = coeffs.get(exp, Scalar(0)) + coeff
-    return LaurentPoly(coeffs)
+    return LaurentPoly(_sum(alg, text, _POWER))

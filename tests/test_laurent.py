@@ -50,6 +50,8 @@ def test_parse_examples(anyalg):
     assert parse_laurent(anyalg, "t^-1") == t(-1)
     assert parse_laurent(anyalg, "0") == LaurentPoly.zero()
     assert parse_laurent(anyalg, "1/2*t - t^-2") == LaurentPoly.term(Scalar(Fraction(1, 2)), 1) - t(-2)
+    # whitespace around '^' reads as it does around '*' and in a key
+    assert parse_laurent(anyalg, "2 * t ^ -1 - t^ 2") == 2 * t(-1) - t(2)
 
 
 def test_parse_round_trip(anyalg):
@@ -77,3 +79,5 @@ def test_parse_errors(anyalg):
         parse_laurent(anyalg, "")
     with pytest.raises(ParseError, match=r"parenthesized coefficient needs '\*'"):
         parse_laurent(anyalg, "(2)t")
+    with pytest.raises(ParseError):  # an integer is one token, as a loop index is
+        parse_laurent(anyalg, "t^- 1")

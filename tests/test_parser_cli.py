@@ -19,12 +19,19 @@ from loopsv import (
     Window,
     parse_element,
     parse_key,
+    parse_laurent,
 )
 from loopsv.cli import cocycle_from_doc, derivation_from_doc, word_from_doc
 
 from support import cli_env, rand_element, run_cli
 
 ONE = Scalar(1)
+
+MALFORMED_ELEMENTS = [
+    "", "L(1,0", "L(1,0))", "X(1,0)", "2*", "L(1,0) + + L(2,0)", "L(1,0) L(2,0)", "3/2 M(0,3)", "(2)L(1,0)",
+]
+# the cases of test_laurent.py::test_parse_errors
+MALFORMED_LAURENT = ["t^x", "2*", "", "(2)t", "t^- 1"]
 
 
 class TestParseElement:
@@ -51,17 +58,21 @@ class TestParseElement:
         with pytest.raises(InvalidKeyError):
             parse_element(alg, "Y(1,0)")
 
-    @pytest.mark.parametrize(
-        "bad",
-        ["", "L(1,0", "L(1,0))", "X(1,0)", "2*", "L(1,0) + + L(2,0)", "L(1,0) L(2,0)", "3/2 M(0,3)", "(2)L(1,0)"],
-    )
+    @pytest.mark.parametrize("bad", MALFORMED_ELEMENTS)
     def test_malformed_text(self, alg, bad):
         with pytest.raises(ParseError):
             parse_element(alg, bad)
 
-    def test_error_carries_position_and_expectation(self, alg):
+    @pytest.mark.parametrize(
+        "parse, bad",
+        [(parse_element, "L(1,0) + 2*")]
+        + [(parse_element, bad) for bad in MALFORMED_ELEMENTS]
+        + [(parse_laurent, bad) for bad in MALFORMED_LAURENT]
+        + [(parse_key, "-L(1,0)"), (parse_key, "L(1,0)+M(0,0)")],
+    )
+    def test_error_carries_position_and_expectation(self, alg, parse, bad):
         with pytest.raises(ParseError) as err:
-            parse_element(alg, "L(1,0) + 2*")
+            parse(alg, bad)
         assert isinstance(err.value.position, int)
         assert err.value.expected
 
@@ -77,6 +88,24 @@ class TestParseElement:
         for _ in range(25):
             x = rand_element(root2_alg, rng, w, terms=rng.randrange(1, 4))
             assert parse_element(root2_alg, str(x)) == x
+
+
+# the fuzz alphabet: every character the grammar uses, and the root literal
+FUZZ_TEXT = st.lists(st.sampled_from(list("LMYt()+-*/^, 0123456789") + ["sqrt2"]), max_size=24).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=FUZZ_TEXT)
+def test_parsers_accept_or_raise_lsv_error(alg, root2_alg, text):
+    # whatever the text, each parser returns a value that prints back to
+    # itself, or raises one of the package's own errors
+    for algebra in (alg, root2_alg):
+        for parse in (parse_element, parse_key, parse_laurent):
+            try:
+                value = parse(algebra, text)
+            except LsvError:
+                continue
+            assert parse(algebra, str(value)) == value, (parse.__name__, text)
 
 
 class TestParseKey:
