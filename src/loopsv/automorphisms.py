@@ -16,13 +16,12 @@ from functools import partial
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .derivations import (
-    _NO_POLY,
     GAffine,
+    GTable,
     Operator,
     _fit_affine,
     _linear_image,
     _m_line,
-    _shear_violation,
     operators_agree,
 )
 from .errors import FactorError, ShapeError
@@ -160,14 +159,17 @@ class LoopScale:
         return LoopScale(ONE / self.b)
 
 
-def MShearData(diagonals=None, table=None):
-    """Coefficients e^k_(alpha,i) for a shear of L into M.
+def MShearData(diagonals=None, table=None) -> GAffine:
+    """Coefficients e^k_(alpha,i) for a shear of L into M, as the GAffine they write down.
 
-    ``diagonals`` maps a loop offset d = k - i to an affine pair (u_d, v_d)
-    and gives the derivation's data GAffine(sum u_d t^d, sum v_d t^d), which
-    always satisfies the shear constraint.  ``table`` maps (alpha, i, k) to
-    scalars; it is checked on the index box spanned by its support, missing
-    entries counting as zero.
+    The shear constraint forces the coefficients to be the same at every
+    loop index i and affine in alpha.  ``diagonals`` maps a loop offset
+    d = k - i to an affine pair (u_d, v_d) and gives
+    GAffine(sum u_d t^d, sum v_d t^d).  ``table`` maps (alpha, i, k) to
+    scalars: each (alpha, i) it names gets the line sum value*t^(k-i) over
+    its rows (a zero value still names the line), all lines of one alpha
+    must be equal, and the lines then go through ``GTable``, which needs a
+    line at 0 and at a nonzero index and refuses one off the affine line.
     """
     if (diagonals is None) == (table is None):
         raise ValueError("give exactly one of diagonals or table")
@@ -178,36 +180,32 @@ def MShearData(diagonals=None, table=None):
         )
     offsets: dict = {}
     for (gamma, i, k), val in table.items():
-        if Scalar.of(val):
-            offsets.setdefault((Scalar.of(gamma), int(i)), {})[int(k) - int(i)] = val
-    data = _ShearTable({at: LaurentPoly(line) for at, line in offsets.items()})
-    gammas = sorted({g for g, _ in data.lines}, key=lambda x: (abs(x), x.sign()))
-    starts = {i for _, i in data.lines}
-    loops = sorted(starts | {i + d for (_, i), line in data.lines.items() for d, _ in line.items()})
-    bad = _shear_violation(gammas, loops, lambda gamma, i, k: data._line(gamma, i).coefficient(k - i))
-    if bad is not None:
-        raise ShapeError("shear table violates the shear constraint", witness=bad)
-    return data
+        offsets.setdefault((Scalar.of(gamma), int(i)), {})[int(k) - int(i)] = Scalar.of(val)
+    return GTable(_loop_free_lines({at: LaurentPoly(line) for at, line in offsets.items()}))
 
 
-@dataclass(frozen=True)
-class _ShearTable:
-    """Shear polynomials in the loop offset k - i, one per (alpha, i); absent ones are zero."""
+def _loop_free_lines(lines: dict) -> dict:
+    """The shear line of each alpha, from lines keyed by (alpha, i) that must not depend on i.
 
-    lines: dict
-
-    def _line(self, gamma: Scalar, loop: int) -> LaurentPoly:
-        return self.lines.get((gamma, loop), _NO_POLY)
-
-    def __neg__(self):
-        return _ShearTable({at: -line for at, line in self.lines.items()})
+    The first line of each alpha is the reference; the first (alpha, i)
+    whose line differs from it is the witness of the refusal.
+    """
+    out: dict = {}
+    for (gamma, loop), line in lines.items():
+        prev = out.setdefault(gamma, line)
+        if line != prev:
+            raise ShapeError(
+                f"shear value at offset {_lowest_offset(line - prev)} depends on the loop index",
+                witness=(gamma, loop),
+            )
+    return out
 
 
 @dataclass(frozen=True)
 class MShear:
     """exp(D_g) = 1 + D_g: L(alpha,i) gains e^k_(alpha,i) M(alpha,k); fixes M and Y."""
 
-    data: GAffine | _ShearTable
+    data: GAffine
 
     def validate(self, alg: LoopAlgebra):
         pass
@@ -215,7 +213,7 @@ class MShear:
     def apply_key(self, alg: LoopAlgebra, key: BasisKey) -> Element:
         if key.kind != "L":
             return alg.monomial(key)
-        return Element(alg.group, {key: ONE, **_m_line(alg, self.data._line(key.gamma, key.loop), key)})
+        return Element(alg.group, {key: ONE, **_m_line(alg, self.data.value(key.gamma), key)})
 
     def inverse(self) -> "MShear":
         return MShear(-self.data)
@@ -492,7 +490,7 @@ def factor(alg: LoopAlgebra, sigma: Operator, window: Window) -> FactoredAutomor
 
     # shear: tau = (inner word) then MShear(e), so the shear polynomial of
     # each L key is the M-part surplus of tau over the inner word, read as a
-    # Laurent line in the loop offset; it must not depend on the loop index
+    # Laurent line in the loop offset
     lines: dict = {}
     for key in alg.window_keys(window):
         if key.kind != "L":
@@ -503,14 +501,11 @@ def factor(alg: LoopAlgebra, sigma: Operator, window: Window) -> FactoredAutomor
             if out_key.kind != "M" or out_key.gamma != key.gamma:
                 raise FactorError("shear", f"residual at {key} contains {out_key}", witness=key)
             offsets[out_key.loop - key.loop] = coeff
-        line = LaurentPoly(offsets)
-        prev = lines.setdefault(key.gamma, line)
-        if line != prev:
-            raise FactorError(
-                "shear",
-                f"shear value at offset {_lowest_offset(line - prev)} depends on the loop index",
-                witness=(key.gamma, key.loop),
-            )
+        lines[key.gamma, key.loop] = LaurentPoly(offsets)
+    try:
+        lines = _loop_free_lines(lines)
+    except ShapeError as exc:
+        raise FactorError("shear", str(exc), witness=exc.witness) from None
     u, v, off = _fit_affine(lines)
     e = GAffine(u, v)
     if off is not None:

@@ -71,7 +71,8 @@ DEFAULT_WINDOW = Window(3, 3)
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            # a key written twice in one object is refused like any other duplicate index
+            return json.load(fh, object_pairs_hook=lambda kv: _doc_keyed(kv, "JSON object", str, lambda v: v))
     except OSError as exc:
         raise GroupConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer past the int-string digit limit
@@ -144,6 +145,32 @@ def _doc_object(value, what: str) -> dict:
     return value
 
 
+def _doc_keyed(pairs, what: str, read_key, read_value) -> dict:
+    """{read_key(k): read_value(v)} over the (k, v) pairs of a document.
+
+    Two keys that name one index, such as "1" and "2/2", are refused rather
+    than resolved by their order.
+    """
+    out = {}
+    for k, v in pairs:
+        index = read_key(k)
+        if index in out:
+            name = ", ".join(map(str, index)) if isinstance(index, tuple) else index
+            raise GroupConfigError(f"duplicate {what} entry for {name}")
+        out[index] = read_value(v)
+    return out
+
+
+def _doc_classes(group: GroupData, doc) -> dict:
+    """A class document: loop degree k -> coefficient of phi_k."""
+    return _doc_keyed(
+        _doc_object(doc, "classes").items(),
+        "classes",
+        lambda k: _doc_int(k, "a class degree"),
+        functools.partial(_doc_scalar, group),
+    )
+
+
 # -- JSON loaders for structured inputs ---------------------------------------------
 
 
@@ -188,10 +215,12 @@ def derivation_from_doc(alg: LoopAlgebra, doc: dict) -> Operator:
         g = GAffine(parse_laurent(alg, u), parse_laurent(alg, v))
     elif isinstance(g_doc, dict) and "table" in g_doc:
         g = GTable(
-            {
-                _doc_gamma(group, k, "g.table index"): parse_laurent(alg, v)
-                for k, v in _doc_object(g_doc["table"], "g.table").items()
-            }
+            _doc_keyed(
+                _doc_object(g_doc["table"], "g.table").items(),
+                "g.table",
+                lambda k: _doc_gamma(group, k, "g.table index"),
+                functools.partial(parse_laurent, alg),
+            )
         )
     else:
         raise GroupConfigError('g must be {"affine": [u, v]} or {"table": {...}}')
@@ -203,18 +232,25 @@ def derivation_from_doc(alg: LoopAlgebra, doc: dict) -> Operator:
 def _shear_from_doc(alg: LoopAlgebra, doc: dict):
     group = alg.group
     if isinstance(doc, dict) and "diagonals" in doc:
-        diagonals = {}
-        for d, pair in _doc_object(doc["diagonals"], "shear diagonals").items():
-            u, v = _doc_list(pair, "a shear diagonal", 2)
-            diagonals[_doc_int(d, "a shear offset")] = (_doc_scalar(group, u), _doc_scalar(group, v))
+        diagonals = _doc_keyed(
+            _doc_object(doc["diagonals"], "shear diagonals").items(),
+            "shear diagonals",
+            lambda d: _doc_int(d, "a shear offset"),
+            lambda pair: tuple(_doc_scalar(group, x) for x in _doc_list(pair, "a shear diagonal", 2)),
+        )
         return MShearData(diagonals=diagonals)
     if isinstance(doc, dict) and "table" in doc:
-        table = {}
-        for row in _doc_list(doc["table"], "shear table"):
-            g, i, k, v = _doc_list(row, "a shear table row", 4)
-            gamma = _doc_gamma(group, g, "shear table index")
-            index = (gamma, _doc_int(i, "a loop index"), _doc_int(k, "a loop index"))
-            table[index] = _doc_scalar(group, v)
+        rows = (_doc_list(row, "a shear table row", 4) for row in _doc_list(doc["table"], "shear table"))
+        table = _doc_keyed(
+            ((tuple(row[:3]), row[3]) for row in rows),
+            "shear table",
+            lambda at: (
+                _doc_gamma(group, at[0], "shear table index"),
+                _doc_int(at[1], "a loop index"),
+                _doc_int(at[2], "a loop index"),
+            ),
+            functools.partial(_doc_scalar, group),
+        )
         return MShearData(table=table)
     raise GroupConfigError('shear data must be {"diagonals": {...}} or {"table": [...]}')
 
@@ -257,26 +293,26 @@ def cocycle_from_doc(alg: LoopAlgebra, doc: dict):
     if not isinstance(doc, dict):
         raise GroupConfigError("cocycle document must be a JSON object")
     group = alg.group
-    terms = []
-    for k, v in _doc_object(doc.get("classes", {}), "classes").items():
-        coeff = _doc_scalar(group, v)
-        if coeff:
-            terms.append((coeff, make_phi_k(alg, _doc_int(k, "a class degree"))))
+    classes = _doc_classes(group, doc.get("classes", {}))
+    terms = [(coeff, make_phi_k(alg, k)) for k, coeff in classes.items() if coeff]
     f_doc = doc.get("f")
     if f_doc:
-        f = LinearFunctional(
-            {parse_key(alg, key): _doc_scalar(group, v) for key, v in _doc_object(f_doc, "f").items()}
+        f = _doc_keyed(
+            _doc_object(f_doc, "f").items(),
+            "f",
+            functools.partial(parse_key, alg),
+            functools.partial(_doc_scalar, group),
         )
-        terms.append((ONE, make_coboundary(alg, f)))
+        terms.append((ONE, make_coboundary(alg, LinearFunctional(f))))
     table_doc = doc.get("table")
     if table_doc is not None:
-        entries = {}
-        for row in _doc_list(table_doc, "table"):
-            k1, k2, v = _doc_list(row, "a table row", 3)
-            pair = (parse_key(alg, k1), parse_key(alg, k2))
-            if pair in entries:
-                raise GroupConfigError(f"duplicate table entry for {k1}, {k2}")
-            entries[pair] = _doc_scalar(group, v)
+        rows = (_doc_list(row, "a table row", 3) for row in _doc_list(table_doc, "table"))
+        entries = _doc_keyed(
+            (((k1, k2), v) for k1, k2, v in rows),
+            "table",
+            lambda pair: (parse_key(alg, pair[0]), parse_key(alg, pair[1])),
+            functools.partial(_doc_scalar, group),
+        )
         terms.append((ONE, TableCocycle(alg, entries)))
     return CombinationCocycle(alg, terms)
 
@@ -412,8 +448,7 @@ def cmd_cocycle_class(alg, window, args) -> int:
 def cmd_extend(alg, window, args) -> int:
     classes = None
     if args.classes:
-        doc = _doc_object(_read_json(args.classes), "classes")
-        classes = {_doc_int(k, "a class degree"): _doc_scalar(alg.group, v) for k, v in doc.items()}
+        classes = _doc_classes(alg.group, _read_json(args.classes))
     ext = central_extend(alg, classes)
     x = parse_element(alg, args.x)
     y = parse_element(alg, args.y)

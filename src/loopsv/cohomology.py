@@ -269,14 +269,7 @@ def _pivots(alg: LoopAlgebra, window: Window):
     s = alg.group.s
     four_s_sq = (s + s) * (s + s)
     gammas, _ = alg.group.window_gammas(window)
-    out = []
-    for a in sorted((g for g in gammas if g.sign() > 0), key=abs):
-        if a * a * a == a:
-            continue
-        if _pivot_scale(a, four_s_sq) == ZERO:
-            continue
-        out.append(a)
-    return out
+    return [a for a in sorted((g for g in gammas if g.sign() > 0), key=abs) if _pivot_scale(a, four_s_sq)]
 
 
 def reduce_cocycle(alg: LoopAlgebra, phi: Cocycle, window: Window, pivot=None) -> ReducedCocycle:

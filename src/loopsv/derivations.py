@@ -154,10 +154,6 @@ class GAffine:
     def value(self, gamma: Scalar) -> LaurentPoly:
         return self.u * gamma + self.v
 
-    def _line(self, gamma: Scalar, loop: int) -> LaurentPoly:
-        # the shear polynomial of L(gamma, loop); affine data ignores the loop index
-        return self.value(gamma)
-
     def __add__(self, other):
         if not isinstance(other, GAffine):
             return NotImplemented
@@ -173,25 +169,6 @@ def _shear_terms(a, b, i, j, k) -> tuple:
     Returned as (coefficient, (gamma, i, k)) terms that sum to zero, all on the diagonal k - i - j.
     """
     return ((b - a, (a + b, i + j, k)), (-b, (b, j, k - i)), (a, (a, i, k - j)))
-
-
-def _shear_violation(gammas, loops, e):
-    """First (a, b, i, j, k) whose ``_shear_terms``, evaluated through e, do not sum to zero.
-
-    Checked for a, b and a+b in ``gammas`` and i, j, k in ``loops``; None if there is none.
-    """
-    support = set(gammas)
-    for a in gammas:
-        for b in gammas:
-            if a + b not in support:
-                continue
-            for i in loops:
-                for j in loops:
-                    for k in loops:
-                        t0, t1, t2 = (c * e(*at) for c, at in _shear_terms(a, b, i, j, k))
-                        if t0 + t1 + t2:
-                            return (a, b, i, j, k)
-    return None
 
 
 def GTable(values: dict) -> GAffine:
@@ -344,13 +321,9 @@ class CanonicalDerivation:
     inner: Element | None = None
 
     def to_operator(self, alg: LoopAlgebra) -> Operator:
-        """One operator on the degree-zero row, plus the row of ad(inner) when inner is nonzero."""
-        row = partial(_degree0_row, alg, self.rho, self.f, self.g, self.b)
-        if not self.inner:
-            return Operator(alg, row, ZERO)
-        ad = make_ad(alg, self.inner)
-        degree = ZERO if ad.degree == ZERO else None
-        return Operator(alg, lambda key: row(key) + ad.apply_key(key), degree)
+        """One operator on the degree-zero row, plus ad(inner) when inner is nonzero."""
+        op = Operator(alg, partial(_degree0_row, alg, self.rho, self.f, self.g, self.b), ZERO)
+        return op + make_ad(alg, self.inner) if self.inner else op
 
 
 def _split_parts(elem: Element, gamma: Scalar, allowed: tuple, base_loop: int, context: str) -> dict:

@@ -194,6 +194,32 @@ class RescaledBasis(LoopAlgebra):
         return t[0], t[1] * scale(k1) * scale(k2) / scale(t[0])
 
 
+class LoopDependentShear:
+    """A generator that gives L(a,i) the M coefficients named for (a, i) only.
+
+    This is a shear table read entry by entry, the way no automorphism's
+    shear is: its line depends on the loop index.  ``MShearData`` refuses
+    such a table, so a test builds a word ``factor`` must refuse from this.
+    """
+
+    def __init__(self, table: dict):
+        self.table = {(Scalar.of(a), int(i), int(k)): Scalar.of(v) for (a, i, k), v in table.items()}
+
+    def validate(self, alg):
+        pass
+
+    def apply_key(self, alg, key):
+        out = alg.monomial(key)
+        if key.kind == "L":
+            for (a, i, k), value in self.table.items():
+                if (a, i) == (key.gamma, key.loop):
+                    out = out + alg.monomial(alg.key("M", a, k), value)
+        return out
+
+    def inverse(self):
+        return LoopDependentShear({at: -value for at, value in self.table.items()})
+
+
 FAULT_WINDOWS = {
     "Q": (lambda: GroupData.default(), Window(1, 1)),
     "Q(sqrt2)": (

@@ -1,6 +1,7 @@
 """Generator actions, words, factorization, and the lattice-scale test."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from loopsv import (
     GroupData,
     Inner,
     LaurentPoly,
+    LoopAlgebra,
     LoopScale,
     LoopShift,
     MShear,
@@ -39,8 +41,9 @@ from loopsv import (
     tuple_word,
 )
 
-from support import rand_element, rand_ideal_element, rand_word
+from support import FAULT_WINDOWS, LoopDependentShear, rand_element, rand_ideal_element, rand_word
 
+ZERO = Scalar(0)
 ONE = Scalar(1)
 HALF = Scalar.of(Fraction(1, 2))
 
@@ -349,7 +352,7 @@ class TestFactor:
 
 
 class TestShearData:
-    """An m-shear is exp(D_g) = 1 + D_g; its table form is read per (gamma, loop)."""
+    """An m-shear is exp(D_g) = 1 + D_g; its table form is the GAffine its lines write down."""
 
     @pytest.mark.parametrize("field", ["Q", "Q(sqrt2)"])
     def test_shear_row_is_key_plus_D_g_row(self, alg, root2_alg, field):
@@ -375,44 +378,76 @@ class TestShearData:
             for key in keys:
                 assert shear.apply_key(key) == on.monomial(key) + D.apply_key(key)
 
-    def test_loop_dependent_table_matches_an_entry_scan(self, alg):
-        # no two indices of the support sum into it, so the constraint checks nothing
-        raw = {
-            (1, 0, 0): 1,
-            (1, 0, 2): -2,
-            (1, 1, -1): Fraction(1, 2),
-            (1, 1, 1): 0,
-            (-1, -1, 0): 3,
-            (3, 0, 1): 2,
-        }
-        shear = Word(alg, [MShear(MShearData(table=raw))])
-        for key in alg.window_keys(Window(3, 2)):
-            surplus = alg.zero()
-            if key.kind == "L":
-                for (gamma, i, k), coeff in raw.items():
-                    if key.gamma == gamma and key.loop == i:
-                        surplus = surplus + alg.monomial(alg.key("M", gamma, k), coeff)
-            assert shear.apply_key(key) == alg.monomial(key) + surplus
-            assert shear.inverse().apply_key(key) == alg.monomial(key) - surplus
+    def test_table_is_the_affine_data_it_writes_down(self, alg):
+        # GAffine(0, t) written at loop 0 only: every other L key reads it past the table
+        data = MShearData(table={(0, 0, 1): 1, (1, 0, 1): 1, (2, 0, 1): 1})
+        assert data == MShearData(diagonals={1: (0, 1)})
+        assert automorphism_witnesses(alg, Word(alg, [MShear(data)]), Window(3, 2)) == []
 
     @pytest.mark.parametrize(
-        "table, witness",
+        "table, message, witness",
         [
-            ({(1, 0, 0): 1, (2, 0, 0): 2, (3, 0, 0): 1}, (Scalar(1), Scalar(2), 0, 0, 0)),
-            ({(1, 0, 0): 1, (1, 0, 1): 2, (2, 0, 1): 3, (3, 1, 1): 1}, (Scalar(1), Scalar(1), 0, 1, 1)),
+            # L(1,0) gets 1 - 2t^2 and L(1,1) gets t^-2/2
+            (
+                {(0, 0, 0): 0, (1, 0, 0): 1, (1, 0, 2): -2, (1, 1, -1): Fraction(1, 2), (1, 1, 1): 0},
+                "shear value at offset -2 depends on the loop index",
+                (Scalar(1), 1),
+            ),
+            # the zero row names the zero line at 2, off the line through 0 and t
+            ({(0, 0, 1): 0, (1, 0, 1): 1, (2, 1, 1): 0}, "shear table is not affine at 2", Scalar(2)),
+            ({(1, 0, 0): 1, (2, 0, 0): 2, (3, 0, 0): 1}, "shear table needs values at 0 and at a nonzero index", None),
         ],
+        ids=["loop-dependent", "off-the-line", "no-line-at-0"],
     )
-    def test_violating_table_names_its_witness(self, table, witness):
-        with pytest.raises(ShapeError, match="^shear table violates the shear constraint$") as err:
+    def test_refused_table_names_its_witness(self, table, message, witness):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$") as err:
             MShearData(table=table)
         assert err.value.witness == witness
 
-    def test_factor_refuses_a_loop_dependent_table_at_the_shear_step(self, alg):
-        word = Word(alg, [MShear(MShearData(table={(1, 0, 0): 1}))])
+    def test_factor_refuses_a_loop_dependent_shear_at_the_shear_step(self, alg):
+        word = Word(alg, [LoopDependentShear({(1, 0, 0): 1})])
         with pytest.raises(FactorError, match="shear value at offset 0 depends on the loop index") as err:
             factor(alg, word, Window(2, 1))
         assert err.value.step == "shear"
         assert err.value.witness == (Scalar(1), 0)  # the line at L(1,-1) is zero
+
+    def test_pair_sweep_stops_at_its_limit(self, alg):
+        word = Word(alg, [LoopDependentShear({(1, 0, 0): 1})])
+        bad = automorphism_witnesses(alg, word, Window(2, 1))
+        assert bad.pairs == 242  # of the window's 903 pairs
+        assert len(bad) == 10
+        assert bad[-1] == (parse_key(alg, "L(0,-1)"), parse_key(alg, "L(1,0)"))
+
+
+SHEAR_WINDOWS = {"Q": Window(2, 1), "Q(sqrt2)": Window(1, 1)}
+
+
+@pytest.mark.parametrize("field", sorted(SHEAR_WINDOWS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_shear_table_reads_like_its_diagonals(field, data):
+    group, window = FAULT_WINDOWS[field][0](), SHEAR_WINDOWS[field]
+    alg = LoopAlgebra(group)
+    gammas, _ = group.window_gammas(window)
+    rational = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    root = Scalar(0, 1, group.field_d) if group.field_d else Scalar(0)
+    scalar = st.builds(lambda p, q: Scalar.of(p) + Scalar.of(q) * root, rational, rational)
+    diagonals = data.draw(st.dictionaries(st.integers(-2, 2), st.tuples(scalar, scalar), max_size=3))
+    expected = MShearData(diagonals=diagonals)
+    nonzero = data.draw(st.sampled_from([g for g in gammas if g]))
+    others = data.draw(st.lists(st.sampled_from(gammas), max_size=3))
+    lines = data.draw(st.permutations([(a, data.draw(st.integers(-2, 2))) for a in [ZERO, nonzero, *others]]))
+    table = {}
+    for a, i in lines:
+        table.setdefault((a, i, i), ZERO)  # names the line even where it is zero
+        for d, c in expected.value(a).items():
+            table[a, i, i + d] = c
+    assert MShearData(table=table) == expected
+    shear = Word(alg, [MShear(MShearData(table=table))])
+    D = make_D_g(alg, expected)
+    for key in alg.window_keys(window):
+        if (key.gamma, key.loop) not in lines:
+            assert shear.apply_key(key) == alg.monomial(key) + D.apply_key(key)
 
 
 class TestIso:

@@ -206,6 +206,20 @@ class TestReduce:
         with pytest.raises(ShapeError):
             reduce_cocycle(alg, make_phi_k(alg, 0), window, pivot=1)
 
+    def test_pivot_one_serves_where_it_is_admissible(self):
+        # Gamma = Z/2 with s = 1/4: the window's other points 1/2 are 2s, so 1 is the only pivot
+        alg = LoopAlgebra(GroupData.from_config({"gamma_generators": ["1/2"], "s": "1/4"}))
+        window = Window(2, 1)
+        rng = random.Random(7)
+        for _ in range(4):
+            classes = {kk: Scalar.of(rng.choice([1, -2, Fraction(1, 2)])) for kk in rng.sample(range(-2, 3), 2)}
+            terms = [(c, make_phi_k(alg, kk)) for kk, c in classes.items()]
+            terms.append((ONE, make_coboundary(alg, rand_functional(alg, rng, window))))
+            got = reduce_cocycle(alg, CombinationCocycle(alg, terms), window)
+            assert got.pivot == ONE
+            assert got.classes == classes
+            assert got.residual_zero()
+
     def test_random_structured_cocycles_round_trip(self, alg, window):
         rng = random.Random(101)
         for _ in range(6):

@@ -704,7 +704,8 @@ class TestDegreeZeroRow:
             for key in alg.window_keys(small_window):
                 assert D.apply_key(key) == reference_degree0_row(alg, alone, key)
 
-    @pytest.mark.parametrize("inner, most", [(None, 1), ("M(1,0)", 2)])
+    # one operator for the degree-zero row, and with an inner part ad(inner) and their sum
+    @pytest.mark.parametrize("inner, most", [(None, 1), ("M(1,0)", 3)])
     def test_to_operator_builds_one_operator_per_part(self, alg, monkeypatch, inner, most):
         built = []
         init = Operator.__init__

@@ -286,6 +286,22 @@ class TestCliBehavior:
             proc = run_cli("check", "derivation", str(path), "--gamma-height", "2", "--loop-bound", "1", *flags)
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), name
 
+    def test_shear_table_is_checked_and_factored_like_its_diagonals(self, tmp_path):
+        # GAffine(0, t) written at loop 0 only; the sweep reads it at every other loop index
+        table = [{"m-shear": {"table": [["0", 0, 1, "1"], ["1", 0, 1, "1"], ["2", 0, 1, "1"]]}}]
+        outs = []
+        for name, doc in (("table", table), ("diagonals", [{"m-shear": {"diagonals": {"1": ["0", "1"]}}}])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            window = ("--gamma-height", "3", "--loop-bound", "2")
+            proc = run_cli("check", "automorphism", str(path), *window)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "pass\n", ""), name
+            proc = run_cli("factor-automorphism", str(path), *window)
+            assert proc.returncode == 0, name
+            assert json.loads(proc.stdout)["e"] == {"diagonals": {"1": ["0", "1"]}}
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
     def test_check_automorphism_file(self, tmp_path):
         doc = tmp_path / "word.json"
         doc.write_text(json.dumps([{"z-flip": -1}, {"inner": "M(1,0)"}]))
@@ -301,15 +317,8 @@ class TestCliBehavior:
         assert proc.stdout == "pass\n"
 
     def test_check_reports_pairs_compared(self, tmp_path):
-        # the sweep stops at its 10th witness, (L(0,-1), L(1,0)), after 242 of the 903 pairs
-        doc = tmp_path / "word.json"
-        doc.write_text(json.dumps([{"m-shear": {"table": [["1", 0, 0, "1"]]}}]))
-        proc = run_cli("check", "automorphism", str(doc), "--gamma-height", "2", "--loop-bound", "1", "--json")
-        assert proc.returncode == 1
-        report = json.loads(proc.stdout)
-        assert report["payload"] == {"pairs": 242}
-        assert len(report["witnesses"]) == 10 and report["witnesses"][-1] == "(L(0,-1), L(1,0))"
-        # a sweep that finds fewer witnesses than the limit compares every pair
+        # a sweep that finds fewer witnesses than the limit compares every pair; one that
+        # stops at the limit is test_automorphisms.py::TestShearData::test_pair_sweep_stops_at_its_limit
         doc = tmp_path / "deriv.json"
         doc.write_text(json.dumps({"b": "t"}))
         proc = run_cli("check", "derivation", str(doc), "--gamma-height", "2", "--loop-bound", "1", "--json")
@@ -510,14 +519,58 @@ class TestCliFailures:
         proc = run_cli("factor-automorphism", str(doc), "--gamma-height", "2", "--loop-bound", "1")
         assert proc.returncode == 2
 
-    def test_word_that_loads_but_does_not_factor(self, tmp_path):
-        # the shear table moves L(1,0) alone, so its shear line depends on the loop index
-        doc = tmp_path / "word.json"
-        doc.write_text(json.dumps([{"m-shear": {"table": [["1", 0, 0, "1"]]}}]))
-        proc = run_cli("factor-automorphism", str(doc), "--gamma-height", "2", "--loop-bound", "1")
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == "error: shear: shear value at offset 0 depends on the loop index\n"
+    @pytest.mark.parametrize(
+        "argv, doc, error",
+        [
+            (
+                ["factor-automorphism"],
+                [{"m-shear": {"table": [["0", 0, 0, "0"], ["1", 0, 0, "1"], ["1", 1, 1, "2"]]}}],
+                "shear value at offset 0 depends on the loop index",
+            ),
+            (
+                ["check", "automorphism"],
+                [{"m-shear": {"table": [["0", 0, 1, "0"], ["1", 0, 1, "1"], ["2", 0, 1, "1"]]}}],
+                "shear table is not affine at 2",
+            ),
+            (
+                ["factor-automorphism"],
+                [{"m-shear": {"table": [["1", 0, 0, "1"]]}}],
+                "shear table needs values at 0 and at a nonzero index",
+            ),
+            (
+                ["check", "automorphism"],
+                [{"m-shear": {"table": [["0", 0, 1, "0"], ["1", 0, 1, "1"], ["1", 0, 1, "2"]]}}],
+                "duplicate shear table entry for 1, 0, 1",
+            ),
+            (
+                ["check", "automorphism"],
+                [{"m-shear": {"diagonals": {"1": ["0", "1"], "+1": ["0", "2"]}}}],
+                "duplicate shear diagonals entry for 1",
+            ),
+            (["check", "derivation"], {"g": {"table": {"0": "0", "1": "t", "2/2": "3*t"}}}, "duplicate g.table entry for 1"),
+            (["check", "cocycle"], {"f": {"L(1,0)": "1", "L(1, 0)": "2"}}, "duplicate f entry for L(1,0)"),
+            (["cocycle-class"], {"classes": {"1": "2", "01": "3"}}, "duplicate classes entry for 1"),
+            (["extend", "L(1,0)", "L(-1,0)", "--classes"], {"1": "2", "01": "3"}, "duplicate classes entry for 1"),
+        ],
+        ids=[
+            "loop-dependent", "off-the-line", "no-line-at-0", "table-row", "diagonals", "g-table", "f", "classes",
+            "classes-flag",
+        ],
+    )
+    def test_refused_document_names_its_index(self, tmp_path, argv, doc, error):
+        # a shear table that loads is affine data, so no document reaches factor's shear
+        # refusal; tests/test_automorphisms.py pins that step with LoopDependentShear
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(*argv, str(path), "--gamma-height", "2", "--loop-bound", "1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
+
+    def test_key_written_twice_in_one_object_is_refused(self, tmp_path):
+        # json.dumps cannot write such an object
+        path = tmp_path / "doc.json"
+        path.write_text('{"classes": {"1": "2", "1": "3"}}')
+        proc = run_cli("cocycle-class", str(path), "--gamma-height", "2", "--loop-bound", "1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: duplicate JSON object entry for 1\n")
 
     def test_lm_diagonal_is_diagnosed(self, tmp_path):
         doc = tmp_path / "cocycle.json"

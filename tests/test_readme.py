@@ -77,6 +77,7 @@ def test_command_line_examples(tmp_path):
         "decompose-derivation",
         "check derivation",
         "factor-automorphism",
+        "check automorphism",
         "cocycle-class",
         "extend",
         "iso",
