@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import GroupMismatchError, InvalidKeyError, OutputError
 from .groups import GroupData
-from .scalars import Scalar, ZERO, _SparseVector, _signed_sum
+from .scalars import Scalar, ZERO, _SparseVector, _add_scaled, _signed_sum
 
 __all__ = [
     "BasisKey",
@@ -155,7 +155,7 @@ class LoopAlgebra:
     def key(self, kind: str, gamma, loop: int) -> BasisKey:
         if not isinstance(loop, int) or isinstance(loop, bool):
             raise InvalidKeyError(f"the loop index {loop!r} is not an integer")
-        gamma = self._scalar(gamma)
+        gamma = Scalar.of(gamma)
         coords = self.group.t_coords(gamma)
         if coords is not None:  # None: gamma lies outside T, which the checks below refuse
             cached = self._keys.get(_tag(kind, coords, loop))
@@ -172,11 +172,6 @@ class LoopAlgebra:
         made = BasisKey(kind, gamma, int(loop), coords)
         self._keys[_tag(kind, coords, loop)] = made
         return made
-
-    def _scalar(self, value) -> Scalar:
-        if isinstance(value, str):
-            return self.group.parse_scalar(value)
-        return Scalar.of(value)
 
     def monomial(self, key: BasisKey, coeff=1) -> Element:
         return Element(self.group, {key: Scalar.of(coeff)})
@@ -247,12 +242,8 @@ class LoopAlgebra:
         for k1, c1 in x.terms.items():
             for k2, c2 in y.terms.items():
                 t = self.structure(k1, k2)
-                if t is None:
-                    continue
-                key, coeff = t
-                add = c1 * c2 * coeff
-                prev = acc.get(key)
-                acc[key] = add if prev is None else prev + add
+                if t is not None:
+                    _add_scaled(acc, c1 * c2, (t,))
         return Element(self.group, acc)
 
     # -- structure maps -------------------------------------------------------------

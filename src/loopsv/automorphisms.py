@@ -19,7 +19,6 @@ from .derivations import (
     GAffine,
     GTable,
     Operator,
-    _fit_affine,
     _linear_image,
     _m_line,
     operators_agree,
@@ -167,9 +166,11 @@ def MShearData(diagonals=None, table=None) -> GAffine:
     d = k - i to an affine pair (u_d, v_d) and gives
     GAffine(sum u_d t^d, sum v_d t^d).  ``table`` maps (alpha, i, k) to
     scalars: each (alpha, i) it names gets the line sum value*t^(k-i) over
-    its rows (a zero value still names the line), all lines of one alpha
-    must be equal, and the lines then go through ``GTable``, which needs a
-    line at 0 and at a nonzero index and refuses one off the affine line.
+    its rows (a zero value still names the line).  All lines of one alpha
+    must equal its first one; the first (alpha, i) whose line differs is
+    the witness of the refusal.  The lines then go through ``GTable``, which
+    needs a line at 0 and at a nonzero index and refuses one off the affine
+    line.  ``factor`` reads an operator's shear through this table too.
     """
     if (diagonals is None) == (table is None):
         raise ValueError("give exactly one of diagonals or table")
@@ -181,24 +182,16 @@ def MShearData(diagonals=None, table=None) -> GAffine:
     offsets: dict = {}
     for (gamma, i, k), val in table.items():
         offsets.setdefault((Scalar.of(gamma), int(i)), {})[int(k) - int(i)] = Scalar.of(val)
-    return GTable(_loop_free_lines({at: LaurentPoly(line) for at, line in offsets.items()}))
-
-
-def _loop_free_lines(lines: dict) -> dict:
-    """The shear line of each alpha, from lines keyed by (alpha, i) that must not depend on i.
-
-    The first line of each alpha is the reference; the first (alpha, i)
-    whose line differs from it is the witness of the refusal.
-    """
-    out: dict = {}
-    for (gamma, loop), line in lines.items():
-        prev = out.setdefault(gamma, line)
+    lines: dict = {}
+    for (gamma, loop), terms in offsets.items():
+        line = LaurentPoly(terms)
+        prev = lines.setdefault(gamma, line)
         if line != prev:
             raise ShapeError(
-                f"shear value at offset {_lowest_offset(line - prev)} depends on the loop index",
+                f"shear value at offset {(line - prev).items()[0][0]} depends on the loop index",
                 witness=(gamma, loop),
             )
-    return out
+    return GTable(lines)
 
 
 @dataclass(frozen=True)
@@ -482,35 +475,28 @@ def factor(alg: LoopAlgebra, sigma: Operator, window: Window) -> FactoredAutomor
                 continue
             key = alg.key("M", tot, k1.loop + k2.loop)
             val = -c1 * c2 * (k2.gamma - k1.gamma) / (2 * k1.gamma * tot)
-            prev = quad.get(key)
-            quad[key] = val if prev is None else prev + val
+            quad[key] = quad.get(key, ZERO) + val
     x_quad = Element(group, quad)
 
     unipotent = Word(alg, [Inner(x_y), Inner(x_lin), Inner(x_quad)])
 
-    # shear: tau = (inner word) then MShear(e), so the shear polynomial of
-    # each L key is the M-part surplus of tau over the inner word, read as a
-    # Laurent line in the loop offset
-    lines: dict = {}
+    # shear: tau = (inner word) then MShear(e), so the m-shear table of e
+    # holds the M-part surplus of tau over the inner word on each L key; the
+    # zero row names the line of a key without surplus
+    table: dict = {}
     for key in alg.window_keys(window):
         if key.kind != "L":
             continue
         diff = tau_map(key) - unipotent.apply_key(key)
-        offsets = {}
+        table[key.gamma, key.loop, key.loop] = ZERO
         for out_key, coeff in diff.terms.items():
             if out_key.kind != "M" or out_key.gamma != key.gamma:
                 raise FactorError("shear", f"residual at {key} contains {out_key}", witness=key)
-            offsets[out_key.loop - key.loop] = coeff
-        lines[key.gamma, key.loop] = LaurentPoly(offsets)
+            table[key.gamma, key.loop, out_key.loop] = coeff
     try:
-        lines = _loop_free_lines(lines)
+        e = MShearData(table=table)
     except ShapeError as exc:
         raise FactorError("shear", str(exc), witness=exc.witness) from None
-    u, v, off = _fit_affine(lines)
-    e = GAffine(u, v)
-    if off is not None:
-        d = _lowest_offset(e.value(off) - lines[off])
-        raise FactorError("shear", f"shear values at offset {d} are not affine", witness=off)
 
     inner = tuple(x for x in (x_y, x_lin, x_quad) if x)
     result = FactoredAutomorphism(a, tuple(shifts), tuple(chi), r, eps, b, e, inner)
@@ -518,10 +504,6 @@ def factor(alg: LoopAlgebra, sigma: Operator, window: Window) -> FactoredAutomor
     if witness is not None:
         raise FactorError("recompose", f"factored word disagrees at {witness}", witness=witness)
     return result
-
-
-def _lowest_offset(poly: LaurentPoly) -> int:
-    return poly.items()[0][0]
 
 
 # iso_test's candidates are first-lattice points of T-coordinates up to this bound

@@ -21,7 +21,7 @@ from itertools import chain
 
 from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .errors import DomainError, GroupMismatchError, NotACocycleError, ShapeError
-from .scalars import Scalar, ZERO, ONE, _SparseVector, _nonzero, _signed_sum
+from .scalars import Scalar, ZERO, ONE, _SparseVector, _add_scaled, _nonzero, _signed_sum
 
 __all__ = [
     "LinearFunctional",
@@ -489,14 +489,6 @@ class CentralExtension:
                     if any(part.values()):
                         _add_scaled(out, cx * cy * cz, part.items())
         return ExtendedElement._of(self.alg.group, _nonzero(out.items()))
-
-
-def _add_scaled(out: dict, c: Scalar, terms) -> None:
-    """Add c times each (key, coefficient) pair of ``terms`` into ``out``."""
-    for key, coeff in terms:
-        add = c * coeff
-        prev = out.get(key)
-        out[key] = add if prev is None else prev + add
 
 
 def central_extend(alg: LoopAlgebra, classes: dict | None = None) -> CentralExtension:

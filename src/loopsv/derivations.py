@@ -16,7 +16,7 @@ from .algebra import BasisKey, Element, LoopAlgebra, Window
 from .errors import DomainError, ShapeError
 from .groups import GroupData
 from .laurent import LaurentPoly
-from .scalars import Scalar, ZERO, ONE, HALF
+from .scalars import Scalar, ZERO, ONE, HALF, _add_scaled
 
 __all__ = [
     "Operator",
@@ -87,9 +87,7 @@ def _sum_row(alg: LoopAlgebra, summands: tuple, key: BasisKey) -> Element:
     """The sum of ``row(key)`` over the summand rows, added up in one dict."""
     acc: dict = {}
     for row in summands:
-        for out_key, c in row(key).terms.items():
-            prev = acc.get(out_key)
-            acc[out_key] = c if prev is None else prev + c
+        _add_scaled(acc, ONE, row(key).terms.items())
     return Element(alg.group, acc)
 
 
@@ -97,10 +95,7 @@ def _linear_image(alg: LoopAlgebra, x: Element, row) -> Element:
     """The sum of ``coeff * row(key)`` over the terms of x, added up in one dict."""
     acc: dict = {}
     for key, coeff in x.terms.items():
-        for out_key, c in row(key).terms.items():
-            add = coeff * c
-            prev = acc.get(out_key)
-            acc[out_key] = add if prev is None else prev + add
+        _add_scaled(acc, coeff, row(key).terms.items())
     return Element(alg.group, acc)
 
 
@@ -177,16 +172,21 @@ def GTable(values: dict) -> GAffine:
     The compatibility relation
     (beta - alpha) g(alpha+beta) = beta g(beta) - alpha g(alpha)
     has only the affine solutions g(alpha) = u*alpha + v, so a table is the
-    ``GAffine(u, v)`` its values at 0 and at its first nonzero index write
-    down.  Every other value must lie on that line; the first one off it is
-    the witness of the refusal.
+    ``GAffine(u, v)`` its values at 0 and at its first nonzero index (in the
+    table's order) write down.  Every other value must lie on that line; the
+    first one off it is the witness of the refusal.  This is the one affine
+    fit: ``MShearData``'s table, ``factor``'s shear step and
+    ``canonical_decompose_degree0`` all read their shear through it.
     """
     values = {Scalar.of(k): v for k, v in values.items()}
     if ZERO not in values or len(values) < 2:
         raise ShapeError("shear table needs values at 0 and at a nonzero index")
-    u, v, off = _fit_affine(values)
-    if off is not None:
-        raise ShapeError(f"shear table is not affine at {off}", witness=off)
+    v = values[ZERO]
+    pivot = next(gamma for gamma in values if gamma)
+    u = (values[pivot] - v) * pivot.inverse()
+    for gamma, value in values.items():
+        if u * gamma + v != value:
+            raise ShapeError(f"shear table is not affine at {gamma}", witness=gamma)
     return GAffine(u, v)
 
 
@@ -380,14 +380,18 @@ def canonical_decompose_degree0(alg: LoopAlgebra, D: Operator, window: Window) -
             images.append(HALF * f_at[tau + tau])
     f = HomToLaurent(tuple(images))
 
-    u, v, off = _fit_affine(g_at)
-    if off is not None:
-        raise ShapeError(f"not degree-zero-derivation-shaped: the shear is not affine at {off}", witness=off)
+    try:
+        g = GTable(g_at)
+    except ShapeError as exc:
+        raise ShapeError(
+            f"not degree-zero-derivation-shaped: the shear is not affine at {exc.witness}",
+            witness=exc.witness,
+        ) from None
 
     img = D.apply_key(alg.key("M", ZERO, 0))
     b = _split_parts(img, ZERO, ("M",), 0, "D(M(0,0))")["M"]
 
-    cand = CanonicalDerivation(rho, f, GAffine(u, v), b)
+    cand = CanonicalDerivation(rho, f, g, b)
     witness = operators_agree(cand.to_operator(alg), D, alg.window_keys(window))
     if witness is not None:
         raise ShapeError(
@@ -395,19 +399,6 @@ def canonical_decompose_degree0(alg: LoopAlgebra, D: Operator, window: Window) -
             witness=witness,
         )
     return cand
-
-
-def _fit_affine(values: dict):
-    """Fit Laurent values[gamma] = u*gamma + v: (u, v, first gamma off that line or None).
-
-    v is the value at 0 (zero if absent) and u comes from the first nonzero
-    gamma in the dict's order.
-    """
-    v = values.get(ZERO, _NO_POLY)
-    pivot = next((gamma for gamma in values if gamma), None)
-    u = _NO_POLY if pivot is None else (values[pivot] - v) * pivot.inverse()
-    off = next((gamma for gamma, value in values.items() if u * gamma + v != value), None)
-    return u, v, off
 
 
 def hom_quotient_witness(group: GroupData, phi: HomToLaurent) -> dict | None:

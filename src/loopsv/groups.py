@@ -12,19 +12,23 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .errors import GroupConfigError
+from .errors import GroupConfigError, ParseError
 from .lattice import coordinates, lattice_basis
 from .scalars import ZERO, Scalar, is_radicand, parse_scalar
 
 __all__ = ["GroupData"]
 
 
+def _check_field(field_d: int) -> None:
+    if field_d != 0 and not is_radicand(field_d):
+        raise GroupConfigError("the field radicand must be squarefree, >= 2 and below 10^12")
+
+
 class GroupData:
     """Field choice plus generators of Gamma and the shift s, with derived bases."""
 
     def __init__(self, gamma_generators, s, field_d: int = 0):
-        if field_d != 0 and not is_radicand(field_d):
-            raise GroupConfigError("the field radicand must be squarefree, >= 2 and below 10^12")
+        _check_field(field_d)
         gens = tuple(Scalar.of(g) for g in gamma_generators)
         if not gens:
             raise GroupConfigError("Gamma needs at least one generator")
@@ -148,10 +152,11 @@ class GroupData:
             if not isinstance(raw, int):
                 raise GroupConfigError("Q_sqrt radicand must be an integer")
             field_d = raw
+            _check_field(field_d)  # before parse_scalar builds scalars over it
         else:
             raise GroupConfigError(f"unknown field description {field!r}")
         gens_raw = doc.get("gamma_generators")
-        if not isinstance(gens_raw, list) or not gens_raw:
+        if not isinstance(gens_raw, list) or not gens_raw or not all(isinstance(g, str) for g in gens_raw):
             raise GroupConfigError("gamma_generators must be a nonempty list of scalar strings")
         s_raw = doc.get("s")
         if not isinstance(s_raw, str):
@@ -159,7 +164,7 @@ class GroupData:
         try:
             gens = [parse_scalar(g, field_d) for g in gens_raw]
             s = parse_scalar(s_raw, field_d)
-        except Exception as exc:
+        except ParseError as exc:
             raise GroupConfigError(f"bad scalar in config: {exc}") from exc
         return cls(gens, s, field_d)
 

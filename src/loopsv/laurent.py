@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .scalars import Scalar, _SparseVector, _coeff_str
+from .scalars import Scalar, _SparseVector, _add_scaled, _coeff_str
 
 __all__ = ["LaurentPoly"]
 
@@ -39,10 +39,7 @@ class LaurentPoly(_SparseVector):
             return _SparseVector.__mul__(self, other)
         out = {}
         for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                prev = out.get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+            _add_scaled(out, c1, ((e1 + e2, c2) for e2, c2 in other._terms.items()))
         return LaurentPoly(out)
 
     def shift(self, k: int) -> "LaurentPoly":

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 from .algebra import BasisKey, Element, LoopAlgebra
 from .errors import ParseError
 from .laurent import LaurentPoly
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 __all__ = ["parse_element", "parse_key", "parse_laurent"]
 
@@ -190,8 +190,7 @@ def _sum(alg: LoopAlgebra, text: str, atom: _Atom) -> dict:
         coeff, value = _term(alg, chunk, offset, atom)
         if sign < 0:
             coeff = -coeff
-        prev = terms.get(value)
-        terms[value] = coeff if prev is None else prev + coeff
+        terms[value] = terms.get(value, ZERO) + coeff
     return terms
 
 

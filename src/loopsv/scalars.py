@@ -90,17 +90,16 @@ def _ratio_str(n: int, m: int) -> str:
 
 
 def _integer_ratio(x) -> tuple[int, int]:
-    """``(numerator, denominator)`` of an int, a Fraction, or what ``Fraction()`` reads.
+    """``(numerator, denominator)`` of an int or a Fraction.
 
     A float is refused: its binary value is rarely the number that was meant.
+    So is a string: ``parse_scalar`` reads scalar text.
     """
     if isinstance(x, int):
         return int(x), 1
-    if isinstance(x, float):
-        raise TypeError(f"cannot make an exact Scalar from the float {x!r}")
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator, x.denominator
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"cannot make an exact Scalar from {x!r}")
 
 
 @total_ordering
@@ -402,6 +401,14 @@ def _nonzero(pairs) -> dict:
         if c:
             out[key] = c
     return out
+
+
+def _add_scaled(out: dict, c: Scalar, terms) -> None:
+    """Add c times each (key, coefficient) pair of ``terms`` into ``out``; zero sums stay."""
+    for key, coeff in terms:
+        add = c * coeff
+        prev = out.get(key)
+        out[key] = add if prev is None else prev + add
 
 
 _set = object.__setattr__

@@ -220,6 +220,19 @@ class LoopDependentShear:
         return LoopDependentShear({at: -value for at, value in self.table.items()})
 
 
+class SquareShear:
+    """L(a,i) -> L(a,i) + a^2 M(a,i): the same at every loop index, but a^2 is not affine in a."""
+
+    def validate(self, alg):
+        pass
+
+    def apply_key(self, alg, key):
+        out = alg.monomial(key)
+        if key.kind == "L" and key.gamma:
+            out = out + alg.monomial(alg.key("M", key.gamma, key.loop), key.gamma * key.gamma)
+        return out
+
+
 FAULT_WINDOWS = {
     "Q": (lambda: GroupData.default(), Window(1, 1)),
     "Q(sqrt2)": (

@@ -49,6 +49,13 @@ def test_key_membership_enforced(alg):
             alg.key("L", 0, loop)
 
 
+def test_key_index_is_a_number_not_text(alg):
+    # scalar text goes through the parser; key() reads an index as a float is read: it refuses it
+    for gamma in ("1", "1/2", 1.0):
+        with pytest.raises(TypeError):
+            alg.key("L", gamma, 0)
+
+
 def test_bracket_examples(alg, m):
     assert alg.bracket(m("L", 1, 0), m("L", 2, 3)) == m("L", 3, 3)
     assert alg.bracket(m("L", 1, 0), m("Y", HALF, 2)).is_zero()

@@ -41,7 +41,7 @@ from loopsv import (
     tuple_word,
 )
 
-from support import FAULT_WINDOWS, LoopDependentShear, rand_element, rand_ideal_element, rand_word
+from support import FAULT_WINDOWS, LoopDependentShear, SquareShear, rand_element, rand_ideal_element, rand_word
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -294,18 +294,7 @@ class TestFactor:
             factor(alg, Word(alg, [Bad()]), window)
 
     def test_non_affine_shear_names_its_index(self, alg):
-        # L(a,i) -> L(a,i) + a^2 M(a,i): loop-independent on each offset, but a^2 is not affine
-        class SquareShear:
-            def validate(self, alg):
-                pass
-
-            def apply_key(self, alg, key):
-                out = alg.monomial(key)
-                if key.kind == "L" and key.gamma:
-                    out = out + alg.monomial(alg.key("M", key.gamma, key.loop), key.gamma * key.gamma)
-                return out
-
-        with pytest.raises(FactorError, match="shear values at offset 0 are not affine") as err:
+        with pytest.raises(FactorError, match="^shear: shear table is not affine at -1$") as err:
             factor(alg, Word(alg, [SquareShear()]), Window(2, 1))
         assert err.value.step == "shear"
         assert err.value.witness == Scalar(-1)  # pivot -2 fixes u = -2, and -1 is the first index off the line
@@ -410,6 +399,28 @@ class TestShearData:
             factor(alg, word, Window(2, 1))
         assert err.value.step == "shear"
         assert err.value.witness == (Scalar(1), 0)  # the line at L(1,-1) is zero
+
+    @pytest.mark.parametrize(
+        "gen",
+        [SquareShear(), LoopDependentShear({(1, 0, 0): 1})],
+        ids=["not-affine", "loop-dependent"],
+    )
+    def test_factor_refuses_a_shear_as_its_m_shear_table_does(self, alg, gen):
+        # the surplus over L(a,i) on each window L key, in window order, with the zero row naming every line
+        window = Window(2, 1)
+        table = {}
+        for key in alg.window_keys(window):
+            if key.kind == "L":
+                table[key.gamma, key.loop, key.loop] = 0
+                for out_key, coeff in (gen.apply_key(alg, key) - alg.monomial(key)).terms.items():
+                    table[key.gamma, key.loop, out_key.loop] = coeff
+        with pytest.raises(ShapeError) as read:
+            MShearData(table=table)
+        with pytest.raises(FactorError) as factored:
+            factor(alg, Word(alg, [gen]), window)
+        assert factored.value.step == "shear"
+        assert str(factored.value) == f"shear: {read.value}"
+        assert factored.value.witness == read.value.witness
 
     def test_pair_sweep_stops_at_its_limit(self, alg):
         word = Word(alg, [LoopDependentShear({(1, 0, 0): 1})])

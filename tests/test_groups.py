@@ -149,6 +149,13 @@ def test_from_config_errors():
         GroupData.from_config({"field": "Q", "gamma_generators": ["1"], "s": 0.5})
     with pytest.raises(GroupConfigError):
         GroupData.from_config({"field": "Q", "gamma_generators": ["sqrt2"], "s": "1/2"})
+    # a generator that is not a string is refused before it is parsed
+    for gen in (1, None):
+        with pytest.raises(GroupConfigError, match="^gamma_generators must be a nonempty list of scalar strings$"):
+            GroupData.from_config({"gamma_generators": [gen], "s": "1/2"})
+    # a radicand that is not one is refused before any scalar is built over it
+    with pytest.raises(GroupConfigError, match="^the field radicand must be squarefree"):
+        GroupData.from_config({"field": {"Q_sqrt": 4}, "gamma_generators": ["sqrt4"], "s": "1/2"})
 
 
 def test_field_membership_enforced():

@@ -239,6 +239,14 @@ class TestCliBehavior:
         assert payload["inner"] == "M(1,0) + Y(1/2,2)"
         assert payload["residual"] == "0"
 
+    def test_decompose_reports_a_weight_zero_inner_as_f(self, tmp_path):
+        # ad L(0,0) scales every key by its weight: D_f with f(gamma) = gamma, so f = 1/2 on the T-basis element 1/2
+        doc = tmp_path / "deriv.json"
+        doc.write_text(json.dumps({"inner": "L(0,0)"}))
+        proc = run_cli("decompose-derivation", str(doc), "--gamma-height", "1", "--loop-bound", "1")
+        assert proc.returncode == 0
+        assert proc.stdout == '{"rho":"0","f":["1/2"],"g":{"affine":["0","0"]},"b":"0","inner":"0","residual":"0"}\n'
+
     def test_decompose_at_loop_bound_zero_reads_rho_as_zero(self, tmp_path):
         # D_rho kills every loop-0 key, so no window key at loop bound 0 sees rho
         doc = tmp_path / "deriv.json"
@@ -448,6 +456,8 @@ class TestCliFailures:
             (["factor-automorphism"], [{"m-shear": {"table": [["1/3", 0, 0, "5"]]}}]),
             (["check", "derivation"], {"g": {"table": {"-2": "-2*t", "-1": "-t", "0": "0", "1": "t", "2": "2*t", "1/2": "7"}}}),
             (["decompose-derivation"], {"g": {"table": {"-2": "-2*t", "-1": "-t", "0": "0", "1": "t", "2": "2*t", "1/2": "7"}}}),
+            # a config generator that is not a string is refused before it is parsed
+            (["grade", "L(1,0)", "--config"], {"gamma_generators": [1], "s": "1/2"}),
         ],
     )
     def test_malformed_input_is_usage(self, tmp_path, argv, doc):

@@ -165,6 +165,13 @@ def test_constructor_refuses_a_float():
             Scalar(a, b, 2)
 
 
+def test_constructor_refuses_a_string():
+    # scalar text is parse_scalar's to read, against the field it names
+    for a, b in (("1/2", 0), (1, "1"), ("sqrt2", 0)):
+        with pytest.raises(TypeError):
+            Scalar(a, b, 2)
+
+
 def test_constructor_refuses_a_radicand_that_is_not_one():
     # 4 and 8 are not squarefree: (2 - sqrt4) is 0 and sqrt8 is 2*sqrt2
     for d in (4, 8, 9, 12):
