@@ -386,38 +386,72 @@ class _SweepTable:
         pairs, where ``[j,k]`` is the table entry and ``outer`` has the table's
         entry shape.  j runs over ``range(i + first, n)`` and k over
         ``range(j + first, n)``.
+
+        The triples of one (i, j) are summed together, as three walks over
+        k: ``rows[j]`` against ``outer[i]``, column i of the window block
+        against ``outer[j]``, and, when ``[i,j]`` is nonzero, its column of
+        ``outer``.  A walk over an ``outer`` row or column with no nonzero
+        entry adds nothing and is skipped.  Every term is read off the rows;
+        an absent term is zero.  The witnesses of a block come in increasing
+        k, and a sweep that stops at its limit counts the triples up to and
+        including its last witness.
         """
+        _check_limit(limit)
         keys, rows, n, d = self.keys, self.rows, self.n, self.d
+        # outer_columns[c][k] is outer[k][c] and columns[i][k] is rows[k][i];
+        # the Jacobi sweep's outer rows are the table's own, so one transpose
+        # serves both
+        outer_columns = list(zip(*outer))
+        columns = outer_columns if outer is rows else list(zip(*(row[:n] for row in rows)))
+        live = [any(row) for row in outer]
+        live_columns = [any(column) for column in outer_columns]
         bad = []
         count = 0
         for i in range(n):
-            row_i, outer_i = rows[i], outer[i]
+            row_i, outer_i, column_i, live_i = rows[i], outer[i], columns[i], live[i]
             for j in range(i + first, n):
-                row_j, outer_j = rows[j], outer[j]
+                lo = j + first
+                count += n - lo
+                acc = {}  # (k, output id) -> integer pair
+                if live_i:  # [i,[j,k]]: the first walk meets each (k, out) once
+                    row_j = rows[j]
+                    for k in range(lo, n):
+                        inner = row_j[k]
+                        if inner is not None:
+                            t = outer_i[inner[0]]
+                            if t is not None:
+                                _, a1, b1 = inner
+                                out, a2, b2 = t
+                                acc[k, out] = (a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1)
+                if live[j]:  # [j,[k,i]]
+                    outer_j = outer[j]
+                    for k in range(lo, n):
+                        inner = column_i[k]
+                        if inner is not None:
+                            t = outer_j[inner[0]]
+                            if t is not None:
+                                _, a1, b1 = inner
+                                out, a2, b2 = t
+                                key = k, out
+                                a, b = acc.get(key, (0, 0))
+                                acc[key] = (a + a1 * a2 + b1 * b2 * d, b + a1 * b2 + a2 * b1)
                 t_ij = row_i[j]
-                for k in range(j + first, n):
-                    count += 1
-                    acc = None
-                    for row, inner in ((outer_i, row_j[k]), (outer_j, rows[k][i]), (outer[k], t_ij)):
-                        if inner is None:
-                            continue
-                        mid, a1, b1 = inner
-                        t = row[mid]
-                        if t is None:
-                            continue
-                        out, a2, b2 = t
-                        if acc is None:
-                            acc = {}
-                        a, b = acc.get(out, (0, 0))
-                        acc[out] = (a + a1 * a2 + b1 * b2 * d, b + a1 * b2 + a2 * b1)
-                    if acc is None:
-                        continue
-                    for a, b in acc.values():
-                        if a or b:
-                            bad.append((keys[i], keys[j], keys[k]))
-                            if len(bad) >= limit:
-                                return bad, count
-                            break
+                if t_ij is not None and live_columns[t_ij[0]]:  # [k,[i,j]]
+                    _, a1, b1 = t_ij
+                    column = outer_columns[t_ij[0]]
+                    for k in range(lo, n):
+                        t = column[k]
+                        if t is not None:
+                            out, a2, b2 = t
+                            key = k, out
+                            a, b = acc.get(key, (0, 0))
+                            acc[key] = (a + a1 * a2 + b1 * b2 * d, b + a1 * b2 + a2 * b1)
+                if not any(map(any, acc.values())):  # most blocks have no witness
+                    continue
+                for k in sorted({k for (k, _), (a, b) in acc.items() if a or b}):
+                    bad.append((keys[i], keys[j], keys[k]))
+                    if len(bad) >= limit:
+                        return bad, count - (n - 1 - k)
         return bad, count
 
     def pair_witnesses(self, structure, image_of, leibniz: bool, limit: int) -> PairWitnesses:
@@ -436,6 +470,7 @@ class _SweepTable:
         kept the algebra's would keep every dropped algebra alive until the
         cycle collector ran.
         """
+        _check_limit(limit)
         keys, rows, n, width, id_of = self.keys, self.rows, self.n, self.width, self._id
         images = {i: image_of(keys[i]) for i in range(n)}
         failure = None
@@ -523,6 +558,12 @@ class _SweepTable:
         return bad
 
 
+def _check_limit(limit: int) -> None:
+    """Refuse a sweep limit below 1: a sweep stops at its ``limit``-th witness."""
+    if limit < 1:
+        raise ValueError(f"a sweep limit must be at least 1, not {limit}")
+
+
 def _scaled_rows(rows: list, d: int, denom: int = 1) -> tuple:
     """Rows of scalars in Q(sqrt d) (or None) as integer pairs ``(a, b)``.
 
@@ -545,6 +586,7 @@ def _scaled_rows(rows: list, d: int, denom: int = 1) -> tuple:
 
 def antisymmetry_witnesses(alg: LoopAlgebra, window: Window, limit: int = 10) -> list:
     """Ordered key pairs where [x,y] + [y,x] != 0 (expected: none)."""
+    _check_limit(limit)
     table = alg._sweep_table(window)
     keys, rows, n = table.keys, table.rows, table.n
     bad = []

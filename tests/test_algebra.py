@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopsv import (
     GroupMismatchError,
@@ -8,18 +9,23 @@ from loopsv import (
     InvalidKeyError,
     LinearFunctional,
     LoopAlgebra,
+    LoopShift,
     Scalar,
     TableCocycle,
     Window,
+    Word,
     antisymmetry_witnesses,
+    automorphism_witnesses,
     cocycle_defect,
     cocycle_witnesses,
+    derivation_witnesses,
     jacobi_witnesses,
+    make_ad,
     make_coboundary,
     make_phi_k,
 )
 
-from support import FAULT_WINDOWS, LoopDependentLL, RescaledBasis, WrongLY
+from support import FAULT_WINDOWS, DividedLL, LoopDependentLL, RescaledBasis, WrongLY
 
 HALF = Scalar(Fraction(1, 2))
 SQRT2 = Scalar(0, 1, 2)
@@ -345,7 +351,7 @@ def non_cocycle(alg, field):
     return TableCocycle(alg, entries)
 
 
-@pytest.mark.parametrize("limit", [10**6, 3])
+@pytest.mark.parametrize("limit", [10**6, 3, 2, 1])
 @pytest.mark.parametrize("field", sorted(FAULT_WINDOWS))
 @pytest.mark.parametrize("faulty", [WrongLY, LoopDependentLL, LoopAlgebra])
 def test_sweeps_match_reference_under_faults(faulty, field, limit):
@@ -384,3 +390,73 @@ def test_sweeps_multiply_square_root_parts_exactly():
     assert antisymmetry_witnesses(alg, window) == []
     assert jacobi_witnesses(alg, window) == ([], n * (n + 1) * (n + 2) // 6)
     assert cocycle_witnesses(alg, coboundary, window) == ([], n * (n - 1) * (n - 2) // 6)
+
+
+# the windows small enough for the reference loops: Q(sqrt2) at (1,1) already has 120 keys
+RANDOM_WINDOWS = [("Q", Window(h, b)) for h in (1, 2) for b in (0, 1)] + [("Q(sqrt2)", Window(1, 0))]
+FAULTY = [LoopAlgebra, WrongLY, LoopDependentLL, DividedLL, RescaledBasis]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from(RANDOM_WINDOWS),
+    st.sampled_from(FAULTY),
+    st.integers(1, 50),
+    st.integers(-3, 3),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4),
+)
+def test_cyclic_sweeps_match_reference_on_random_windows(field_window, faulty, limit, k, values):
+    field, window = field_window
+    if faulty is RescaledBasis and field == "Q":
+        faulty = LoopAlgebra  # its sqrt2 scaling lies outside Q, so no table builds
+    alg = faulty(FAULT_WINDOWS[field][0]())
+    d = alg.group.field_d
+
+    def value(m):
+        a, b = values[m % len(values)]
+        return Scalar(a, b, d) if d else Scalar(a)
+
+    coboundary = make_coboundary(
+        alg, LinearFunctional({key: value(m) for m, key in enumerate(alg.window_keys(window))})
+    )
+    assert jacobi_witnesses(alg, window, limit) == reference_jacobi(alg, window, limit)
+    for phi in (make_phi_k(alg, k), coboundary, non_cocycle(alg, field)):
+        assert cocycle_witnesses(alg, phi, window, limit) == reference_cocycle(alg, phi, window, limit)
+
+
+def test_block_witnesses_come_in_increasing_k():
+    """In the block (L(-1,0), L(0,0)), M(0,1) is a witness by its [k,[i,j]] term alone and
+    Y(1/2,0), after it, has an [i,[j,k]] term.  That walk runs first, yet M(0,1) is listed first."""
+    alg = LoopAlgebra(GroupData.default())
+    window = Window(1, 1)
+    i, j, first, second = alg.key("L", -1, 0), alg.key("L", 0, 0), alg.key("M", 0, 1), alg.key("Y", HALF, 0)
+    phi = TableCocycle(alg, {(first, i): 1, (i, second): 1})
+    assert alg.structure(j, first) is None and alg.structure(first, i) is None
+    assert phi.value(i, alg.structure(j, second)[0])
+    for limit, block in ((10**6, [first, second]), (6, [first, second]), (5, [first])):
+        bad, count = cocycle_witnesses(alg, phi, window, limit)
+        assert (bad, count) == reference_cocycle(alg, phi, window, limit)
+        assert [t[2] for t in bad if t[:2] == (i, j)] == block
+
+
+SWEEPS = {
+    "antisymmetry": lambda alg, window, limit: antisymmetry_witnesses(alg, window, limit),
+    "jacobi": lambda alg, window, limit: jacobi_witnesses(alg, window, limit),
+    "cocycle": lambda alg, window, limit: cocycle_witnesses(alg, make_phi_k(alg, 0), window, limit),
+    "derivation": lambda alg, window, limit: derivation_witnesses(
+        alg, make_ad(alg, alg.monomial(alg.key("L", 1, 0))), window, limit
+    ),
+    "automorphism": lambda alg, window, limit: automorphism_witnesses(
+        alg, Word(alg, [LoopShift((1,))]), window, limit
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_sweep_limit_below_one_is_refused(sweep):
+    alg = WrongLY(GroupData.default())
+    window = Window(1, 1)
+    for limit in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            SWEEPS[sweep](alg, window, limit)
+    SWEEPS[sweep](alg, window, 1)
