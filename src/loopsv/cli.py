@@ -2,11 +2,16 @@
 
 One subcommand per operation, one process per run.  Configuration comes
 from --config, the LSV_CONFIG environment variable, or the built-in default
-group (Gamma = Z, s = 1/2); window flags override the config.  Exit codes:
-0 pass, 1 fail with witnesses, 2 usage or configuration trouble, which
-includes an input or window the command cannot work on.
+group (Gamma = Z, s = 1/2); window flags override the config.
 
-Everything printed is an exact string; --json wraps the same data in a
+Each ``cmd_*`` handler returns its report ``(status, payload, witnesses,
+plain)``; ``main`` alone prints it and picks the exit code: 0 for ``pass``,
+1 for ``fail``.  An LsvError ends the run in one ``error:`` line and exit 1
+for a FactorError, ShapeError or NotACocycleError (a failed computation),
+else exit 2: usage or configuration trouble, which includes a DomainError,
+an input or window the command cannot work on.
+
+Everything printed is an exact string: ``plain``, or under --json the
 report object {"status", "payload", "witnesses"}.  Output for fixed inputs
 is byte-stable, so reports are safe to diff across runs.
 """
@@ -317,42 +322,32 @@ def cocycle_from_doc(alg: LoopAlgebra, doc: dict):
     return CombinationCocycle(alg, terms)
 
 
-# -- reporting ----------------------------------------------------------------------
+# -- subcommands: each returns (status, payload, witnesses, plain) ------------------
 
 
-def _emit(args, status: str, payload, witnesses, plain: str) -> None:
-    if args.json:
-        report = {"status": status, "payload": payload, "witnesses": witnesses}
-        print(json.dumps(report, separators=(",", ":")))
-    elif plain:
-        print(plain)
+_compact = functools.partial(json.dumps, separators=(",", ":"))
 
 
 def _pair_str(pair) -> str:
     return "(" + ", ".join(str(p) for p in pair) + ")"
 
 
-# -- subcommands --------------------------------------------------------------------
-
-
-def cmd_bracket(alg, window, args) -> int:
+def cmd_bracket(alg, window, args) -> tuple:
     x = parse_element(alg, args.x)
     y = parse_element(alg, args.y)
     out = str(alg.bracket(x, y))
-    _emit(args, "pass", out, [], out)
-    return 0
+    return "pass", out, [], out
 
 
-def cmd_grade(alg, window, args) -> int:
+def cmd_grade(alg, window, args) -> tuple:
     x = parse_element(alg, args.x)
     graded = alg.grade(x)
     payload = {str(g): str(part) for g, part in sorted(graded.items())}
     plain = "\n".join(f"{g}: {part}" for g, part in payload.items()) or "0"
-    _emit(args, "pass", payload, [], plain)
-    return 0
+    return "pass", payload, [], plain
 
 
-def cmd_check(alg, window, args) -> int:
+def cmd_check(alg, window, args) -> tuple:
     what = args.what
     if what == "jacobi":
         if args.file:
@@ -375,11 +370,8 @@ def cmd_check(alg, window, args) -> int:
         bad, count = cocycle_witnesses(alg, phi, window)
         witnesses = [_pair_str(w) for w in bad]
         payload = {"triples": count}
-    if witnesses:
-        _emit(args, "fail", payload, witnesses, "fail\n" + "\n".join(witnesses))
-        return 1
-    _emit(args, "pass", payload, [], "pass")
-    return 0
+    status = "fail" if witnesses else "pass"
+    return status, payload, witnesses, "\n".join([status, *witnesses])
 
 
 def _require_file(args) -> str:
@@ -388,7 +380,7 @@ def _require_file(args) -> str:
     return args.file
 
 
-def cmd_decompose(alg, window, args) -> int:
+def cmd_decompose(alg, window, args) -> tuple:
     doc = _read_json(args.file)
     D = derivation_from_doc(alg, doc)
     components = degree_decompose(alg, D, window)
@@ -403,8 +395,7 @@ def cmd_decompose(alg, window, args) -> int:
     )
     witness = operators_agree(rebuilt.to_operator(alg), D, alg.window_keys(window))
     if witness is not None:
-        _emit(args, "fail", None, [str(witness)], f"fail\n{witness}")
-        return 1
+        return "fail", None, [str(witness)], f"fail\n{witness}"
     payload = {
         "rho": str(pieces.rho),
         "f": [str(img) for img in pieces.f.images],
@@ -413,20 +404,18 @@ def cmd_decompose(alg, window, args) -> int:
         "inner": str(inner),
         "residual": "0",
     }
-    _emit(args, "pass", payload, [], json.dumps(payload, separators=(",", ":")))
-    return 0
+    return "pass", payload, [], _compact(payload)
 
 
-def cmd_factor(alg, window, args) -> int:
+def cmd_factor(alg, window, args) -> tuple:
     doc = _read_json(args.file)
     word = word_from_doc(alg, doc)
     factored = factor(alg, word, window)
     payload = factored.describe()
-    _emit(args, "pass", payload, [], json.dumps(payload, separators=(",", ":")))
-    return 0
+    return "pass", payload, [], _compact(payload)
 
 
-def cmd_cocycle_class(alg, window, args) -> int:
+def cmd_cocycle_class(alg, window, args) -> tuple:
     doc = _read_json(args.file)
     phi = cocycle_from_doc(alg, doc)
     reduced = reduce_cocycle(alg, phi, window)
@@ -437,15 +426,11 @@ def cmd_cocycle_class(alg, window, args) -> int:
     if args.json:
         payload["f"] = reduced.functional.describe()
         payload["diagnostics"] = list(reduced.diagnostics)
-    status = "pass" if reduced.residual_zero() else "fail"
-    witnesses = [] if reduced.residual_zero() else [
-        _pair_str(e.pair) for e in reduced.residual
-    ]
-    _emit(args, status, payload, witnesses, json.dumps(payload, separators=(",", ":")))
-    return 0 if reduced.residual_zero() else 1
+    witnesses = [_pair_str(e.pair) for e in reduced.residual]
+    return "fail" if witnesses else "pass", payload, witnesses, _compact(payload)
 
 
-def cmd_extend(alg, window, args) -> int:
+def cmd_extend(alg, window, args) -> tuple:
     classes = None
     if args.classes:
         classes = _doc_classes(alg.group, _read_json(args.classes))
@@ -453,19 +438,16 @@ def cmd_extend(alg, window, args) -> int:
     x = parse_element(alg, args.x)
     y = parse_element(alg, args.y)
     out = str(ext.bracket(x, y))
-    _emit(args, "pass", out, [], out)
-    return 0
+    return "pass", out, [], out
 
 
-def cmd_iso(alg, window, args) -> int:
+def cmd_iso(alg, window, args) -> tuple:
     g1 = GroupData.from_config(_read_json(args.first))
     g2 = GroupData.from_config(_read_json(args.second))
     a = iso_test(g1, g2)
     if a is None:
-        _emit(args, "fail", "none", [], "none")
-        return 1
-    _emit(args, "pass", str(a), [], str(a))
-    return 0
+        return "fail", "none", [], "none"
+    return "pass", str(a), [], str(a)
 
 
 # -- argument wiring ----------------------------------------------------------------
@@ -473,7 +455,7 @@ def cmd_iso(alg, window, args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     # the shared flags are accepted before or after the subcommand, so they
-    # live on a parent parser with SUPPRESS defaults and are normalized later
+    # live on a parent parser with SUPPRESS defaults; main presets their values
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--config",
@@ -554,27 +536,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    for name, default in (
-        ("config", None),
-        ("gamma_height", None),
-        ("loop_bound", None),
-        ("json", False),
-    ):
-        if not hasattr(args, name):
-            setattr(args, name, default)
+    # the shared flags' defaults; their SUPPRESS defaults keep a subparser from overwriting them
+    args = _build_parser().parse_args(
+        argv, argparse.Namespace(config=None, gamma_height=None, loop_bound=None, json=False)
+    )
     try:
-        alg, window = _load_context(args)
-        return args.handler(alg, window, args)
-    except DomainError as exc:  # the input or window does not fit the command: usage trouble
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FactorError, ShapeError, NotACocycleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status, payload, witnesses, plain = args.handler(*_load_context(args), args)
     except LsvError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a DomainError means the input or window does not fit the command: usage trouble
+        failed = isinstance(exc, (FactorError, ShapeError, NotACocycleError)) and not isinstance(exc, DomainError)
+        return 1 if failed else 2
+    print(_compact({"status": status, "payload": payload, "witnesses": witnesses}) if args.json else plain)
+    return 0 if status == "pass" else 1
 
 
 if __name__ == "__main__":

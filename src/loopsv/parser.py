@@ -15,7 +15,8 @@ differ only in the atom a term multiplies:
 A coeff is a scalar literal; composite literals like 1+sqrt2 must be wrapped
 in parentheses when they multiply something, which is exactly how the
 printers emit them.  Whitespace may stand around the signs, '*', the
-parentheses, ',' and '^'; a key's letter and its '(' must touch.  A power
+parentheses, ',' and '^'; a key's letter and its '(' must touch, and a
+numeral (digits, '/', ``sqrt<d>``) holds no whitespace.  A power
 term may also leave its coefficient blank, as in ``*t`` or ``()``, which
 reads as 1.  Grammar failures raise ParseError with a position and what was
 expected; membership failures (a Y index outside the coset, say) surface as

@@ -533,20 +533,24 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 HALF = Scalar(Fraction(1, 2))
 
-_RAT = r"-?\d+(?:/\d+)?"
+# spaces may stand around a sign and a '*', never inside a numeral or sqrt<d>
+_RAT = r"(?:- *)?\d+(?:/\d+)?"
 _POS_RAT = r"\d+(?:/\d+)?"
+_ROOT = rf"(?:({_POS_RAT}) *\* *)?sqrt(\d+)"
 _RE_RATIONAL = re.compile(rf"^({_RAT})$")
-_RE_ROOT = re.compile(rf"^(-)?(?:({_POS_RAT})\*)?sqrt(\d+)$")
-_RE_MIXED = re.compile(rf"^({_RAT})([+-])(?:({_POS_RAT})\*)?sqrt(\d+)$")
+_RE_ROOT = re.compile(rf"^(-)? *{_ROOT}$")
+_RE_MIXED = re.compile(rf"^({_RAT}) *([+-]) *{_ROOT}$")
 
 
 def parse_scalar(text: str, field_d: int | None = None) -> Scalar:
     """Parse strings like ``3/2``, ``-1``, ``sqrt2``, ``2*sqrt2``, ``1-1/2*sqrt2``.
 
+    Spaces may stand around a sign and a ``*``, as in ``1 - 1/2 * sqrt2``,
+    but not inside a numeral: ``1 2``, ``1 /2`` and ``sqrt 2`` are refused.
     When ``field_d`` is given, a square-root part must use exactly that
     radicand and is rejected entirely for ``field_d == 0`` (plain Q).
     """
-    s = text.strip().replace(" ", "")
+    s = text.strip()
     if not s:
         raise ParseError("empty scalar")
     m = _RE_RATIONAL.match(s)
@@ -571,7 +575,7 @@ def parse_scalar(text: str, field_d: int | None = None) -> Scalar:
 
 def _parse_fraction(part: str, text: str) -> Fraction:
     try:
-        return Fraction(part)
+        return Fraction(part.replace(" ", ""))  # the spaces after a sign
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in scalar {text!r}") from None
     except ValueError:  # beyond Python's limit on digits in an int string

@@ -12,11 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 import loopsv
 from loopsv import (
+    DomainError,
+    FactorError,
+    GroupConfigError,
+    GroupData,
     InvalidKeyError,
     LsvError,
+    NotACocycleError,
     ParseError,
     Scalar,
+    ShapeError,
     Window,
+    cli,
     parse_element,
     parse_key,
     parse_laurent,
@@ -117,6 +124,54 @@ class TestParseKey:
             parse_key(alg, "2*L(1,0)")
 
 
+# a space between two digits, beside '/' or inside sqrt<d> would join or split a numeral
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_element, "1 2*L(1,0)"),
+        (parse_element, "L(1 2,0)"),
+        (parse_element, "1 /2*L(1,0)"),
+        (parse_element, "(1 + sqrt 2)*L(0,0)"),
+        (parse_key, "L(1 2,0)"),
+        (parse_key, "Y(1/ 2,0)"),
+        (parse_key, "L(sq rt2,0)"),
+        (parse_laurent, "1 2*t"),
+        (parse_laurent, "3/2 0*t^2"),
+        (parse_laurent, "(1 - sqrt2 3)*t"),
+    ],
+)
+def test_space_inside_a_numeral_is_refused(root2_alg, parse, text):
+    with pytest.raises(ParseError, match="cannot parse scalar"):
+        parse(root2_alg, text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, printed",
+    [
+        (parse_element, "(1 + sqrt2)*L(0,0)", "(1+sqrt2)*L(0,0)"),
+        (parse_element, "L(- 1,0)", "L(-1,0)"),
+        (parse_element, "2 * sqrt2*L(0,0)", "2*sqrt2*L(0,0)"),
+        (parse_element, "( - 1 - 1/2 * sqrt2 )*Y(- 1/2 + sqrt2,1)", "-(1+1/2*sqrt2)*Y(-1/2+sqrt2,1)"),
+        (parse_key, "L( - 12 , 0 )", "L(-12,0)"),
+        (parse_laurent, "- 12 * t ^ 2 + (3/2 - sqrt2)", "(3/2-sqrt2) - 12*t^2"),
+    ],
+)
+def test_space_around_a_sign_or_star_is_accepted(root2_alg, parse, text, printed):
+    assert str(parse(root2_alg, text)) == printed
+
+
+@pytest.mark.parametrize("gens, s", [(["1 2", "sqrt2"], "1/2"), (["1", "sqrt 2"], "1/2"), (["1", "sqrt2"], "1 /2")])
+def test_config_refuses_a_space_inside_a_numeral(gens, s):
+    with pytest.raises(GroupConfigError, match="cannot parse scalar"):
+        GroupData.from_config({"field": {"Q_sqrt": 2}, "gamma_generators": gens, "s": s})
+
+
+def test_config_reads_spaces_around_a_sign_or_star():
+    spaced = {"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "- 1 + 2 * sqrt2"], "s": "- 1/2"}
+    plain = {"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "-1+2*sqrt2"], "s": "-1/2"}
+    assert GroupData.from_config(spaced).describe() == GroupData.from_config(plain).describe()
+
+
 # -- command line -------------------------------------------------------------------
 
 
@@ -182,6 +237,73 @@ class TestCliBehavior:
         proc = run_cli("--gamma-height", "2", "--loop-bound", "1", "check", "jacobi")
         assert proc.returncode == 0
         assert proc.stdout == "pass\n"
+
+    @pytest.mark.parametrize(
+        "argv, window, as_json",
+        [
+            (["check", "jacobi"], Window(3, 3), False),
+            (["--gamma-height", "2", "--loop-bound", "1", "--json", "check", "jacobi"], Window(2, 1), True),
+            (["check", "jacobi", "--gamma-height", "2", "--loop-bound", "1", "--json"], Window(2, 1), True),
+            (["--gamma-height", "2", "check", "jacobi", "--loop-bound", "1"], Window(2, 1), False),
+            (["--json", "--loop-bound", "0", "check", "jacobi", "--gamma-height", "1"], Window(1, 0), True),
+            # given on both sides, the flag after the subcommand wins
+            (["--gamma-height", "1", "--json", "check", "jacobi", "--gamma-height", "2", "--json"], Window(2, 3), True),
+        ],
+        ids=["none", "before", "after", "split", "split-json-first", "both-sides"],
+    )
+    def test_shared_flags_in_every_position(self, monkeypatch, capsys, argv, window, as_json):
+        seen = {}
+
+        def report(alg, used, args):
+            seen.update(window=used, json=args.json)
+            return "pass", "p", [], "plain"
+
+        monkeypatch.setattr(cli, "cmd_check", report)
+        assert cli.main(argv) == 0
+        assert seen == {"window": window, "json": as_json}
+        out = '{"status":"pass","payload":"p","witnesses":[]}' if as_json else "plain"
+        assert capsys.readouterr() == (out + "\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, docs, status",
+        [
+            (["bracket", "L(1,0)", "L(2,3)"], [], "pass"),
+            (["grade", "L(1,0) + Y(3/2,0)"], [], "pass"),
+            (["check", "jacobi"], [], "pass"),
+            (["check", "derivation"], [{"b": "t"}], "pass"),
+            (["check", "automorphism"], [[{"z-flip": -1}, {"inner": "M(1,0)"}]], "pass"),
+            (["check", "cocycle"], [{"classes": {"1": "2"}}], "pass"),
+            (["check", "cocycle"], [{"table": [["L(1,1)", "L(-1,-1)", "7"]]}], "fail"),
+            (["decompose-derivation"], [{"rho": "t", "b": "t^2"}], "pass"),
+            (["factor-automorphism"], [[{"loop-scale": "2"}, {"scale": "-1"}]], "pass"),
+            (["cocycle-class"], [{"classes": {"0": "3"}}], "pass"),
+            (["cocycle-class"], [{"table": [["L(1,0)", "M(-1,0)", "1"]]}], "fail"),
+            (["extend", "L(2,1)", "L(-2,-1)"], [], "pass"),
+            (["iso"], [{"gamma_generators": ["1"], "s": "1/2"}, {"gamma_generators": ["2"], "s": "1"}], "pass"),
+            (
+                ["iso"],
+                [{"gamma_generators": ["1"], "s": "1/2"}, {"field": {"Q_sqrt": 2}, "gamma_generators": ["1", "sqrt2"], "s": "1/2"}],
+                "fail",
+            ),
+        ],
+        ids=[
+            "bracket", "grade", "jacobi", "derivation", "automorphism", "cocycle", "cocycle-fail", "decompose", "factor",
+            "cocycle-class", "cocycle-class-fail", "extend", "iso", "iso-none",
+        ],
+    )
+    def test_exit_code_follows_the_status(self, tmp_path, argv, docs, status):
+        # 0 exactly when the report says pass, 1 exactly when it says fail, plain or --json
+        for i, doc in enumerate(docs):
+            path = tmp_path / f"doc{i}.json"
+            path.write_text(json.dumps(doc))
+            argv = [*argv, str(path)]
+        code = {"pass": 0, "fail": 1}[status]
+        report = run_cli(*argv, "--gamma-height", "2", "--loop-bound", "1", "--json")
+        assert (report.returncode, report.stderr) == (code, "")
+        assert json.loads(report.stdout)["status"] == status
+        plain = run_cli(*argv, "--gamma-height", "2", "--loop-bound", "1")
+        assert (plain.returncode, plain.stderr) == (code, "")
+        assert plain.stdout.strip() and not plain.stdout.startswith('{"status"')
 
     def test_grade(self):
         proc = run_cli("grade", "L(1,0) + M(1,2) + Y(3/2,0)")
@@ -458,6 +580,9 @@ class TestCliFailures:
             (["decompose-derivation"], {"g": {"table": {"-2": "-2*t", "-1": "-t", "0": "0", "1": "t", "2": "2*t", "1/2": "7"}}}),
             # a config generator that is not a string is refused before it is parsed
             (["grade", "L(1,0)", "--config"], {"gamma_generators": [1], "s": "1/2"}),
+            # a space inside a numeral is refused, not read as 12
+            (["bracket", "1 2*L(1,0)", "L(0,0)"], None),
+            (["grade", "L(1,0)", "--config"], {"field": {"Q_sqrt": 2}, "gamma_generators": ["1 2", "sqrt2"], "s": "1/2"}),
         ],
     )
     def test_malformed_input_is_usage(self, tmp_path, argv, doc):
@@ -466,6 +591,46 @@ class TestCliFailures:
             path.write_text(json.dumps(doc))
             argv = [*argv, str(path)]
         assert_usage_error(run_cli(*argv, "--gamma-height", "1", "--loop-bound", "0"))
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["bracket", "L(1/2,0)", "L(1,0)"], None),
+            (["check", "jacobi", "--gamma-height", "0"], None),
+            (["check", "automorphism"], [{"z-flip": 3}]),
+            (["cocycle-class", "--gamma-height", "1", "--loop-bound", "0"], {"classes": {"0": "1"}}),
+            (["iso", "/nonexistent/g1.json"], {"gamma_generators": ["1"], "s": "1/2"}),
+        ],
+        ids=["key", "window", "document", "domain", "missing-file"],
+    )
+    def test_error_is_one_line_plain_or_json(self, tmp_path, argv, doc):
+        if doc is not None:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            argv = [*argv, str(path)]
+        for flags in ((), ("--json",)):
+            assert_usage_error(run_cli(*argv, *flags))
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (FactorError("shear", "not affine"), 1),
+            (ShapeError("not a derivation"), 1),
+            (NotACocycleError("not alternating"), 1),
+            (DomainError("no pivot"), 2),
+            (GroupConfigError("bad config"), 2),
+            (ParseError("bad text"), 2),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+    )
+    def test_main_maps_each_error_to_its_exit_code(self, monkeypatch, capsys, error, code):
+        def fail(alg, window, args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_bracket", fail)
+        for flags in ([], ["--json"]):
+            assert cli.main(["bracket", "L(1,0)", "L(1,0)", *flags]) == code
+            assert capsys.readouterr() == ("", f"error: {error}\n")
 
     @pytest.mark.parametrize(
         "argv, text",
