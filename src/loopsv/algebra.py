@@ -13,7 +13,6 @@ table's integer entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import GroupMismatchError, InvalidKeyError, OutputError
 from .groups import GroupData
@@ -115,7 +114,6 @@ class Element(_SparseVector):
         return f"Element({str(self)!r})"
 
 
-@dataclass(frozen=True)
 class Window:
     """Finite verification window.
 
@@ -124,12 +122,34 @@ class Window:
     a factor of two along the shift direction.  ``loop_bound`` bounds |i|.
     """
 
-    gamma_height: int
-    loop_bound: int
+    __slots__ = ("gamma_height", "loop_bound")
+    __match_args__ = __slots__
 
-    def __post_init__(self):
-        if self.gamma_height < 1 or self.loop_bound < 0:
+    def __init__(self, gamma_height: int, loop_bound: int):
+        if gamma_height < 1 or loop_bound < 0:
             raise ValueError("gamma_height must be >= 1 and loop_bound >= 0")
+        object.__setattr__(self, "gamma_height", gamma_height)
+        object.__setattr__(self, "loop_bound", loop_bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Window is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Window is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gamma_height, self.loop_bound) == (other.gamma_height, other.loop_bound)
+
+    def __hash__(self):
+        return hash((self.gamma_height, self.loop_bound))
+
+    def __repr__(self):
+        return f"Window(gamma_height={self.gamma_height!r}, loop_bound={self.loop_bound!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as the slots cannot be set
+        return Window, (self.gamma_height, self.loop_bound)
 
     def loops(self) -> range:
         return range(-self.loop_bound, self.loop_bound + 1)

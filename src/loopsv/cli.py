@@ -24,48 +24,12 @@ import json
 import os
 import sys
 
+# only what every subcommand needs; each handler and loader imports the rest itself,
+# so a call loads just the modules its subcommand uses
 from .algebra import LoopAlgebra, Window, antisymmetry_witnesses, jacobi_witnesses
-from .automorphisms import (
-    CharTwist,
-    Inner,
-    LoopScale,
-    LoopShift,
-    MShear,
-    MShearData,
-    Scale,
-    Word,
-    ZFlip,
-    automorphism_witnesses,
-    factor,
-    iso_test,
-)
-from .cohomology import (
-    CombinationCocycle,
-    LinearFunctional,
-    TableCocycle,
-    central_extend,
-    cocycle_witnesses,
-    make_coboundary,
-    make_phi_k,
-    reduce_cocycle,
-)
-from .derivations import (
-    CanonicalDerivation,
-    GAffine,
-    GTable,
-    HomToLaurent,
-    Operator,
-    canonical_decompose_degree0,
-    degree_decompose,
-    derivation_witnesses,
-    operators_agree,
-    reduce_nonzero_degree,
-)
 from .errors import DomainError, FactorError, GroupConfigError, LsvError, NotACocycleError, ShapeError
 from .groups import GroupData
-from .laurent import LaurentPoly
-from .parser import parse_element, parse_key, parse_laurent
-from .scalars import ONE, ZERO, Scalar
+from .scalars import _INTEGER, ONE, ZERO, Scalar
 
 DEFAULT_WINDOW = Window(3, 3)
 
@@ -126,13 +90,18 @@ def _doc_gamma(group: GroupData, value, what: str) -> Scalar:
 
 
 def _doc_int(value, what: str) -> int:
-    """A JSON integer, or a string holding one (JSON object keys are strings)."""
+    """A JSON integer, or a string holding one: a JSON object key, or a window flag.
+
+    The string is ASCII digits with an optional sign, and may have
+    whitespace around it; ``int`` alone would also read ``1_0`` and
+    non-ASCII digits.
+    """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and _INTEGER.fullmatch(value.strip()):
         try:
             return int(value)
-        except ValueError:
+        except ValueError:  # beyond Python's limit on digits in an int string
             pass
     raise GroupConfigError(f"{what} must be an integer, got {value!r}")
 
@@ -197,8 +166,12 @@ def _loader(load):
 
 
 @_loader
-def derivation_from_doc(alg: LoopAlgebra, doc: dict) -> Operator:
+def derivation_from_doc(alg: LoopAlgebra, doc: dict):
     """Build the operator described by a derivation document."""
+    from .derivations import CanonicalDerivation, GAffine, GTable, HomToLaurent
+    from .laurent import LaurentPoly
+    from .parser import parse_element, parse_laurent
+
     if not isinstance(doc, dict):
         raise GroupConfigError("derivation document must be a JSON object")
     group = alg.group
@@ -235,6 +208,8 @@ def derivation_from_doc(alg: LoopAlgebra, doc: dict) -> Operator:
 
 
 def _shear_from_doc(alg: LoopAlgebra, doc: dict):
+    from .automorphisms import MShearData
+
     group = alg.group
     if isinstance(doc, dict) and "diagonals" in doc:
         diagonals = _doc_keyed(
@@ -261,8 +236,11 @@ def _shear_from_doc(alg: LoopAlgebra, doc: dict):
 
 
 @_loader
-def word_from_doc(alg: LoopAlgebra, doc) -> Word:
+def word_from_doc(alg: LoopAlgebra, doc):
     """Build a generator word from its JSON form (applied first to last)."""
+    from .automorphisms import CharTwist, Inner, LoopScale, LoopShift, MShear, Scale, Word, ZFlip
+    from .parser import parse_element
+
     if not isinstance(doc, list):
         raise GroupConfigError("a word is a JSON list of generator objects")
     group = alg.group
@@ -295,6 +273,9 @@ def word_from_doc(alg: LoopAlgebra, doc) -> Word:
 
 @_loader
 def cocycle_from_doc(alg: LoopAlgebra, doc: dict):
+    from .cohomology import CombinationCocycle, LinearFunctional, TableCocycle, make_coboundary, make_phi_k
+    from .parser import parse_key
+
     if not isinstance(doc, dict):
         raise GroupConfigError("cocycle document must be a JSON object")
     group = alg.group
@@ -333,6 +314,8 @@ def _pair_str(pair) -> str:
 
 
 def cmd_bracket(alg, window, args) -> tuple:
+    from .parser import parse_element
+
     x = parse_element(alg, args.x)
     y = parse_element(alg, args.y)
     out = str(alg.bracket(x, y))
@@ -340,6 +323,8 @@ def cmd_bracket(alg, window, args) -> tuple:
 
 
 def cmd_grade(alg, window, args) -> tuple:
+    from .parser import parse_element
+
     x = parse_element(alg, args.x)
     graded = alg.grade(x)
     payload = {str(g): str(part) for g, part in sorted(graded.items())}
@@ -359,12 +344,18 @@ def cmd_check(alg, window, args) -> tuple:
     elif what in ("derivation", "automorphism"):
         doc = _read_json(_require_file(args))
         if what == "derivation":
+            from .derivations import derivation_witnesses
+
             bad = derivation_witnesses(alg, derivation_from_doc(alg, doc), window)
         else:
+            from .automorphisms import automorphism_witnesses
+
             bad = automorphism_witnesses(alg, word_from_doc(alg, doc), window)
         witnesses = [_pair_str(w) for w in bad]
         payload = {"pairs": bad.pairs}
     else:  # cocycle
+        from .cohomology import cocycle_witnesses
+
         doc = _read_json(_require_file(args))
         phi = cocycle_from_doc(alg, doc)
         bad, count = cocycle_witnesses(alg, phi, window)
@@ -381,6 +372,15 @@ def _require_file(args) -> str:
 
 
 def cmd_decompose(alg, window, args) -> tuple:
+    from .derivations import (
+        CanonicalDerivation,
+        Operator,
+        canonical_decompose_degree0,
+        degree_decompose,
+        operators_agree,
+        reduce_nonzero_degree,
+    )
+
     doc = _read_json(args.file)
     D = derivation_from_doc(alg, doc)
     components = degree_decompose(alg, D, window)
@@ -408,6 +408,8 @@ def cmd_decompose(alg, window, args) -> tuple:
 
 
 def cmd_factor(alg, window, args) -> tuple:
+    from .automorphisms import factor
+
     doc = _read_json(args.file)
     word = word_from_doc(alg, doc)
     factored = factor(alg, word, window)
@@ -416,6 +418,8 @@ def cmd_factor(alg, window, args) -> tuple:
 
 
 def cmd_cocycle_class(alg, window, args) -> tuple:
+    from .cohomology import reduce_cocycle
+
     doc = _read_json(args.file)
     phi = cocycle_from_doc(alg, doc)
     reduced = reduce_cocycle(alg, phi, window)
@@ -431,6 +435,9 @@ def cmd_cocycle_class(alg, window, args) -> tuple:
 
 
 def cmd_extend(alg, window, args) -> tuple:
+    from .cohomology import central_extend
+    from .parser import parse_element
+
     classes = None
     if args.classes:
         classes = _doc_classes(alg.group, _read_json(args.classes))
@@ -442,6 +449,8 @@ def cmd_extend(alg, window, args) -> tuple:
 
 
 def cmd_iso(alg, window, args) -> tuple:
+    from .automorphisms import iso_test
+
     g1 = GroupData.from_config(_read_json(args.first))
     g2 = GroupData.from_config(_read_json(args.second))
     a = iso_test(g1, g2)
@@ -462,15 +471,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="path to a group/window configuration file",
     )
+    # the window flags stay strings here: _load_context reads them with _doc_int
     common.add_argument(
         "--gamma-height",
-        type=int,
         default=argparse.SUPPRESS,
         help="window bound on index height",
     )
     common.add_argument(
         "--loop-bound",
-        type=int,
         default=argparse.SUPPRESS,
         help="window bound on |loop degree|",
     )

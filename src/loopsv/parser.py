@@ -31,12 +31,11 @@ from typing import Callable, NamedTuple
 from .algebra import BasisKey, Element, LoopAlgebra
 from .errors import ParseError
 from .laurent import LaurentPoly
-from .scalars import ONE, ZERO, Scalar
+from .scalars import _INTEGER, ONE, ZERO, Scalar
 
 __all__ = ["parse_element", "parse_key", "parse_laurent"]
 
 _KEY_START = re.compile(r"[LMY]\(")
-_INTEGER = re.compile(r"^[+-]?\d+$")
 _PAREN = re.compile(r"\(([^)]*)\)\s*")  # a parenthesized coefficient and the space after it
 
 
@@ -100,7 +99,7 @@ def _scalar(alg: LoopAlgebra, text: str, offset: int) -> Scalar:
 
 
 def _integer(text: str, what: str, position: int) -> int:
-    if not _INTEGER.match(text):
+    if not _INTEGER.fullmatch(text):
         raise ParseError(f"{what} must be an integer, got {text!r}", position=position, expected="integer")
     try:
         return int(text)

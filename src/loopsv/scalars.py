@@ -533,10 +533,13 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 HALF = Scalar(Fraction(1, 2))
 
-# spaces may stand around a sign and a '*', never inside a numeral or sqrt<d>
-_RAT = r"(?:- *)?\d+(?:/\d+)?"
-_POS_RAT = r"\d+(?:/\d+)?"
-_ROOT = rf"(?:({_POS_RAT}) *\* *)?sqrt(\d+)"
+# spaces may stand around a sign and a '*', never inside a numeral or sqrt<d>;
+# a digit is an ASCII digit, as '\d' would also match other scripts' digits
+_RAT = r"(?:- *)?[0-9]+(?:/[0-9]+)?"
+_POS_RAT = r"[0-9]+(?:/[0-9]+)?"
+_ROOT = rf"(?:({_POS_RAT}) *\* *)?sqrt([0-9]+)"
+# an integer literal: a loop index, an exponent, a document or flag integer
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RE_RATIONAL = re.compile(rf"^({_RAT})$")
 _RE_ROOT = re.compile(rf"^(-)? *{_ROOT}$")
 _RE_MIXED = re.compile(rf"^({_RAT}) *([+-]) *{_ROOT}$")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -140,6 +142,37 @@ def test_window_enumeration(alg, window):
     keys = alg.window_keys(window)
     assert len(keys) == 2 * 7 * 7 + 6 * 7
     assert len(set(keys)) == len(keys)
+
+
+class TestWindow:
+    def test_equality_hash_and_repr(self):
+        w = Window(2, 3)
+        assert w == Window(gamma_height=2, loop_bound=3) == Window(2, loop_bound=3)
+        assert w != Window(3, 2) and w != (2, 3)
+        assert hash(w) == hash((2, 3)) and {w: 1}[Window(2, 3)] == 1
+        assert repr(w) == "Window(gamma_height=2, loop_bound=3)"
+        assert (w.gamma_height, w.loop_bound) == (2, 3)
+        assert w.loops() == range(-3, 4) and w.coordinate_bound() == 4
+
+    def test_is_immutable(self):
+        w = Window(2, 3)
+        for attempt in (
+            lambda: setattr(w, "loop_bound", 0),
+            lambda: delattr(w, "gamma_height"),
+            lambda: setattr(w, "other", 1),
+        ):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert w == Window(2, 3)
+
+    @pytest.mark.parametrize("bounds", [(0, 0), (1, -1), (-1, 2)])
+    def test_validation(self, bounds):
+        with pytest.raises(ValueError, match=r"^gamma_height must be >= 1 and loop_bound >= 0$"):
+            Window(*bounds)
+
+    def test_copies_are_equal(self):
+        w = Window(1, 0)
+        assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
 
 
 def test_small_window_axioms(alg, small_window):

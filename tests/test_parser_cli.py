@@ -27,6 +27,7 @@ from loopsv import (
     parse_element,
     parse_key,
     parse_laurent,
+    parse_scalar,
 )
 from loopsv.cli import cocycle_from_doc, derivation_from_doc, word_from_doc
 
@@ -160,6 +161,30 @@ def test_space_around_a_sign_or_star_is_accepted(root2_alg, parse, text, printed
     assert str(parse(root2_alg, text)) == printed
 
 
+# Arabic-Indic digits: Unicode decimal digits that no printer writes
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_element, "L(\u0661,0)"),
+        (parse_element, "L(1,\u0661)"),
+        (parse_element, "\u0662*L(1,0)"),
+        (parse_element, "sqrt\u0662*L(0,0)"),
+        (parse_key, "Y(1/\u0662,0)"),
+        (parse_laurent, "t^\u0661"),
+        (parse_laurent, "\u0661\u0662*t"),
+    ],
+)
+def test_non_ascii_digit_is_refused(root2_alg, parse, text):
+    with pytest.raises(ParseError):
+        parse(root2_alg, text)
+
+
+@pytest.mark.parametrize("text", ["\u0661\u0662", "1/\u0662", "sqrt\u0662", "1+sqrt\u0662", "\uff11"])
+def test_parse_scalar_refuses_non_ascii_digits(text):
+    with pytest.raises(ParseError, match="cannot parse scalar"):
+        parse_scalar(text)
+
+
 @pytest.mark.parametrize("gens, s", [(["1 2", "sqrt2"], "1/2"), (["1", "sqrt 2"], "1/2"), (["1", "sqrt2"], "1 /2")])
 def test_config_refuses_a_space_inside_a_numeral(gens, s):
     with pytest.raises(GroupConfigError, match="cannot parse scalar"):
@@ -248,8 +273,10 @@ class TestCliBehavior:
             (["--json", "--loop-bound", "0", "check", "jacobi", "--gamma-height", "1"], Window(1, 0), True),
             # given on both sides, the flag after the subcommand wins
             (["--gamma-height", "1", "--json", "check", "jacobi", "--gamma-height", "2", "--json"], Window(2, 3), True),
+            # a flag is an integer with an optional sign and spaces around it
+            (["check", "jacobi", "--gamma-height", " +2 ", "--loop-bound", "01"], Window(2, 1), False),
         ],
-        ids=["none", "before", "after", "split", "split-json-first", "both-sides"],
+        ids=["none", "before", "after", "split", "split-json-first", "both-sides", "signed-spaced"],
     )
     def test_shared_flags_in_every_position(self, monkeypatch, capsys, argv, window, as_json):
         seen = {}
@@ -583,6 +610,10 @@ class TestCliFailures:
             # a space inside a numeral is refused, not read as 12
             (["bracket", "1 2*L(1,0)", "L(0,0)"], None),
             (["grade", "L(1,0)", "--config"], {"field": {"Q_sqrt": 2}, "gamma_generators": ["1 2", "sqrt2"], "s": "1/2"}),
+            # a document integer is ASCII digits: int() alone reads 1_0 as 10 and other scripts' digits
+            (["factor-automorphism"], [{"loop-shift": ["1_0"]}]),
+            (["factor-automorphism"], [{"loop-shift": ["\u0661"]}]),
+            (["cocycle-class"], {"classes": {"1_0": "1"}}),
         ],
     )
     def test_malformed_input_is_usage(self, tmp_path, argv, doc):
@@ -600,8 +631,11 @@ class TestCliFailures:
             (["check", "automorphism"], [{"z-flip": 3}]),
             (["cocycle-class", "--gamma-height", "1", "--loop-bound", "0"], {"classes": {"0": "1"}}),
             (["iso", "/nonexistent/g1.json"], {"gamma_generators": ["1"], "s": "1/2"}),
+            (["grade", "L(1,0)", "--loop-bound", "0_1"], None),
+            (["grade", "L(1,0)", "--gamma-height", "\u0661"], None),
+            (["grade", "L(1,0)", "--config"], {"gamma_generators": ["1"], "s": "1/2", "window": {"loop_bound": "0_1"}}),
         ],
-        ids=["key", "window", "document", "domain", "missing-file"],
+        ids=["key", "window", "document", "domain", "missing-file", "flag-underscore", "flag-digit", "config-window"],
     )
     def test_error_is_one_line_plain_or_json(self, tmp_path, argv, doc):
         if doc is not None:

@@ -5,8 +5,9 @@ Every ``$ lsv ...`` line in the "Command line" section runs through
 section shows with ``$ cat`` are written first; the three it only describes
 in a comment (``classes.json``, ``g1.json``, ``g2.json``) are written here
 from that description.  The Python quick tour runs in-process, and each
-``print`` must match its ``# expected`` comment.  The package docstring's
-example runs as a doctest.
+``print`` must match its ``# expected`` comment, and every Python block of
+the file runs in order in one namespace.  The package docstring's example
+runs as a doctest.
 """
 
 import contextlib
@@ -96,6 +97,16 @@ def test_quick_tour():
     with contextlib.redirect_stdout(out):
         exec(compile(tour, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_every_python_block_runs():
+    blocks = code_blocks(README.read_text(encoding="utf-8"), "python")
+    assert len(blocks) >= 2
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["root2"].field_d == 2
 
 
 def test_package_docstring_example():
