@@ -19,8 +19,10 @@ from .derivations import (
     GAffine,
     GTable,
     Operator,
+    _additive,
     _linear_image,
     _m_line,
+    _t_coords,
     operators_agree,
 )
 from .errors import FactorError, ShapeError
@@ -51,14 +53,12 @@ __all__ = [
 
 
 def _hom_int(group: GroupData, images, gamma: Scalar) -> int:
-    coords = group.t_coords(gamma)
-    return sum(c * n for c, n in zip(coords, images))
+    return _additive(group, images, gamma, 0)
 
 
 def _hom_scalar(group: GroupData, images, gamma: Scalar) -> Scalar:
-    coords = group.t_coords(gamma)
     out = ONE
-    for c, img in zip(coords, images):
+    for c, img in zip(_t_coords(group, gamma), images):
         if c:
             out = out * img**c
     return out

@@ -24,12 +24,14 @@ import json
 import os
 import sys
 
-# only what every subcommand needs; each handler and loader imports the rest itself,
-# so a call loads just the modules its subcommand uses
+# only what every subcommand needs; every other name is read off the package, whose
+# __getattr__ loads its module on first use, so a call loads just the modules its input reaches
 from .algebra import LoopAlgebra, Window, antisymmetry_witnesses, jacobi_witnesses
 from .errors import DomainError, FactorError, GroupConfigError, LsvError, NotACocycleError, ShapeError
 from .groups import GroupData
 from .scalars import _INTEGER, ONE, ZERO, Scalar
+
+_lsv = sys.modules[__package__]
 
 DEFAULT_WINDOW = Window(3, 3)
 
@@ -168,48 +170,42 @@ def _loader(load):
 @_loader
 def derivation_from_doc(alg: LoopAlgebra, doc: dict):
     """Build the operator described by a derivation document."""
-    from .derivations import CanonicalDerivation, GAffine, GTable, HomToLaurent
-    from .laurent import LaurentPoly
-    from .parser import parse_element, parse_laurent
-
     if not isinstance(doc, dict):
         raise GroupConfigError("derivation document must be a JSON object")
     group = alg.group
-    rho = parse_laurent(alg, doc.get("rho", "0"))
+    rho = _lsv.parse_laurent(alg, doc.get("rho", "0"))
     f_doc = doc.get("f")
     if f_doc is None:
-        f = HomToLaurent.zero(group)
+        f = _lsv.HomToLaurent.zero(group)
     else:
         if not isinstance(f_doc, list) or len(f_doc) != len(group.t_basis):
             raise GroupConfigError(
                 f"f needs exactly {len(group.t_basis)} entries, one per T-basis element"
             )
-        f = HomToLaurent(tuple(parse_laurent(alg, s) for s in f_doc))
+        f = _lsv.HomToLaurent(tuple(_lsv.parse_laurent(alg, s) for s in f_doc))
     g_doc = doc.get("g")
     if g_doc is None:
-        g = GAffine(LaurentPoly.zero(), LaurentPoly.zero())
+        g = _lsv.GAffine(_lsv.LaurentPoly.zero(), _lsv.LaurentPoly.zero())
     elif isinstance(g_doc, dict) and "affine" in g_doc:
         u, v = _doc_list(g_doc["affine"], "g.affine", 2)
-        g = GAffine(parse_laurent(alg, u), parse_laurent(alg, v))
+        g = _lsv.GAffine(_lsv.parse_laurent(alg, u), _lsv.parse_laurent(alg, v))
     elif isinstance(g_doc, dict) and "table" in g_doc:
-        g = GTable(
+        g = _lsv.GTable(
             _doc_keyed(
                 _doc_object(g_doc["table"], "g.table").items(),
                 "g.table",
                 lambda k: _doc_gamma(group, k, "g.table index"),
-                functools.partial(parse_laurent, alg),
+                functools.partial(_lsv.parse_laurent, alg),
             )
         )
     else:
         raise GroupConfigError('g must be {"affine": [u, v]} or {"table": {...}}')
-    b = parse_laurent(alg, doc.get("b", "0"))
-    inner = parse_element(alg, doc.get("inner", "0"))
-    return CanonicalDerivation(rho, f, g, b, inner if inner else None).to_operator(alg)
+    b = _lsv.parse_laurent(alg, doc.get("b", "0"))
+    inner = _lsv.parse_element(alg, doc.get("inner", "0"))
+    return _lsv.CanonicalDerivation(rho, f, g, b, inner if inner else None).to_operator(alg)
 
 
 def _shear_from_doc(alg: LoopAlgebra, doc: dict):
-    from .automorphisms import MShearData
-
     group = alg.group
     if isinstance(doc, dict) and "diagonals" in doc:
         diagonals = _doc_keyed(
@@ -218,7 +214,7 @@ def _shear_from_doc(alg: LoopAlgebra, doc: dict):
             lambda d: _doc_int(d, "a shear offset"),
             lambda pair: tuple(_doc_scalar(group, x) for x in _doc_list(pair, "a shear diagonal", 2)),
         )
-        return MShearData(diagonals=diagonals)
+        return _lsv.MShearData(diagonals=diagonals)
     if isinstance(doc, dict) and "table" in doc:
         rows = (_doc_list(row, "a shear table row", 4) for row in _doc_list(doc["table"], "shear table"))
         table = _doc_keyed(
@@ -231,16 +227,13 @@ def _shear_from_doc(alg: LoopAlgebra, doc: dict):
             ),
             functools.partial(_doc_scalar, group),
         )
-        return MShearData(table=table)
+        return _lsv.MShearData(table=table)
     raise GroupConfigError('shear data must be {"diagonals": {...}} or {"table": [...]}')
 
 
 @_loader
 def word_from_doc(alg: LoopAlgebra, doc):
     """Build a generator word from its JSON form (applied first to last)."""
-    from .automorphisms import CharTwist, Inner, LoopScale, LoopShift, MShear, Scale, Word, ZFlip
-    from .parser import parse_element
-
     if not isinstance(doc, list):
         raise GroupConfigError("a word is a JSON list of generator objects")
     group = alg.group
@@ -250,57 +243,54 @@ def word_from_doc(alg: LoopAlgebra, doc):
             raise GroupConfigError(f"each generator is a one-key object, got {item!r}")
         (tag, value), = item.items()
         if tag == "scale":
-            gens.append(Scale(_doc_scalar(group, value)))
+            gens.append(_lsv.Scale(_doc_scalar(group, value)))
         elif tag == "loop-shift":
             images = _doc_list(value, "loop-shift")
-            gens.append(LoopShift(tuple(_doc_int(n, "a loop-shift entry") for n in images)))
+            gens.append(_lsv.LoopShift(tuple(_doc_int(n, "a loop-shift entry") for n in images)))
         elif tag == "char-twist":
             value = _doc_object(value, "char-twist")
             chi = tuple(_doc_scalar(group, v) for v in _doc_list(value.get("chi"), "char-twist chi"))
-            gens.append(CharTwist(chi, _doc_scalar(group, value.get("r", 1))))
+            gens.append(_lsv.CharTwist(chi, _doc_scalar(group, value.get("r", 1))))
         elif tag == "z-flip":
-            gens.append(ZFlip(_doc_int(value, "z-flip")))
+            gens.append(_lsv.ZFlip(_doc_int(value, "z-flip")))
         elif tag == "loop-scale":
-            gens.append(LoopScale(_doc_scalar(group, value)))
+            gens.append(_lsv.LoopScale(_doc_scalar(group, value)))
         elif tag == "m-shear":
-            gens.append(MShear(_shear_from_doc(alg, value)))
+            gens.append(_lsv.MShear(_shear_from_doc(alg, value)))
         elif tag == "inner":
-            gens.append(Inner(parse_element(alg, value)))
+            gens.append(_lsv.Inner(_lsv.parse_element(alg, value)))
         else:
             raise GroupConfigError(f"unknown generator tag {tag!r}")
-    return Word(alg, gens)
+    return _lsv.Word(alg, gens)
 
 
 @_loader
 def cocycle_from_doc(alg: LoopAlgebra, doc: dict):
-    from .cohomology import CombinationCocycle, LinearFunctional, TableCocycle, make_coboundary, make_phi_k
-    from .parser import parse_key
-
     if not isinstance(doc, dict):
         raise GroupConfigError("cocycle document must be a JSON object")
     group = alg.group
     classes = _doc_classes(group, doc.get("classes", {}))
-    terms = [(coeff, make_phi_k(alg, k)) for k, coeff in classes.items() if coeff]
+    terms = [(coeff, _lsv.make_phi_k(alg, k)) for k, coeff in classes.items() if coeff]
     f_doc = doc.get("f")
     if f_doc:
         f = _doc_keyed(
             _doc_object(f_doc, "f").items(),
             "f",
-            functools.partial(parse_key, alg),
+            functools.partial(_lsv.parse_key, alg),
             functools.partial(_doc_scalar, group),
         )
-        terms.append((ONE, make_coboundary(alg, LinearFunctional(f))))
+        terms.append((ONE, _lsv.make_coboundary(alg, _lsv.LinearFunctional(f))))
     table_doc = doc.get("table")
     if table_doc is not None:
         rows = (_doc_list(row, "a table row", 3) for row in _doc_list(table_doc, "table"))
         entries = _doc_keyed(
             (((k1, k2), v) for k1, k2, v in rows),
             "table",
-            lambda pair: (parse_key(alg, pair[0]), parse_key(alg, pair[1])),
+            lambda pair: (_lsv.parse_key(alg, pair[0]), _lsv.parse_key(alg, pair[1])),
             functools.partial(_doc_scalar, group),
         )
-        terms.append((ONE, TableCocycle(alg, entries)))
-    return CombinationCocycle(alg, terms)
+        terms.append((ONE, _lsv.TableCocycle(alg, entries)))
+    return _lsv.CombinationCocycle(alg, terms)
 
 
 # -- subcommands: each returns (status, payload, witnesses, plain) ------------------
@@ -314,18 +304,14 @@ def _pair_str(pair) -> str:
 
 
 def cmd_bracket(alg, window, args) -> tuple:
-    from .parser import parse_element
-
-    x = parse_element(alg, args.x)
-    y = parse_element(alg, args.y)
+    x = _lsv.parse_element(alg, args.x)
+    y = _lsv.parse_element(alg, args.y)
     out = str(alg.bracket(x, y))
     return "pass", out, [], out
 
 
 def cmd_grade(alg, window, args) -> tuple:
-    from .parser import parse_element
-
-    x = parse_element(alg, args.x)
+    x = _lsv.parse_element(alg, args.x)
     graded = alg.grade(x)
     payload = {str(g): str(part) for g, part in sorted(graded.items())}
     plain = "\n".join(f"{g}: {part}" for g, part in payload.items()) or "0"
@@ -344,21 +330,15 @@ def cmd_check(alg, window, args) -> tuple:
     elif what in ("derivation", "automorphism"):
         doc = _read_json(_require_file(args))
         if what == "derivation":
-            from .derivations import derivation_witnesses
-
-            bad = derivation_witnesses(alg, derivation_from_doc(alg, doc), window)
+            bad = _lsv.derivation_witnesses(alg, derivation_from_doc(alg, doc), window)
         else:
-            from .automorphisms import automorphism_witnesses
-
-            bad = automorphism_witnesses(alg, word_from_doc(alg, doc), window)
+            bad = _lsv.automorphism_witnesses(alg, word_from_doc(alg, doc), window)
         witnesses = [_pair_str(w) for w in bad]
         payload = {"pairs": bad.pairs}
     else:  # cocycle
-        from .cohomology import cocycle_witnesses
-
         doc = _read_json(_require_file(args))
         phi = cocycle_from_doc(alg, doc)
-        bad, count = cocycle_witnesses(alg, phi, window)
+        bad, count = _lsv.cocycle_witnesses(alg, phi, window)
         witnesses = [_pair_str(w) for w in bad]
         payload = {"triples": count}
     status = "fail" if witnesses else "pass"
@@ -372,28 +352,19 @@ def _require_file(args) -> str:
 
 
 def cmd_decompose(alg, window, args) -> tuple:
-    from .derivations import (
-        CanonicalDerivation,
-        Operator,
-        canonical_decompose_degree0,
-        degree_decompose,
-        operators_agree,
-        reduce_nonzero_degree,
-    )
-
     doc = _read_json(args.file)
     D = derivation_from_doc(alg, doc)
-    components = degree_decompose(alg, D, window)
+    components = _lsv.degree_decompose(alg, D, window)
     inner = alg.zero()
     for degree in sorted(components):
         if degree:
-            inner = inner + reduce_nonzero_degree(alg, components[degree], window)
-    zero_part = components.get(ZERO, Operator.zero(alg))
-    pieces = canonical_decompose_degree0(alg, zero_part, window)
-    rebuilt = CanonicalDerivation(
+            inner = inner + _lsv.reduce_nonzero_degree(alg, components[degree], window)
+    zero_part = components.get(ZERO, _lsv.Operator.zero(alg))
+    pieces = _lsv.canonical_decompose_degree0(alg, zero_part, window)
+    rebuilt = _lsv.CanonicalDerivation(
         pieces.rho, pieces.f, pieces.g, pieces.b, inner if inner else None
     )
-    witness = operators_agree(rebuilt.to_operator(alg), D, alg.window_keys(window))
+    witness = _lsv.operators_agree(rebuilt.to_operator(alg), D, alg.window_keys(window))
     if witness is not None:
         return "fail", None, [str(witness)], f"fail\n{witness}"
     payload = {
@@ -408,21 +379,17 @@ def cmd_decompose(alg, window, args) -> tuple:
 
 
 def cmd_factor(alg, window, args) -> tuple:
-    from .automorphisms import factor
-
     doc = _read_json(args.file)
     word = word_from_doc(alg, doc)
-    factored = factor(alg, word, window)
+    factored = _lsv.factor(alg, word, window)
     payload = factored.describe()
     return "pass", payload, [], _compact(payload)
 
 
 def cmd_cocycle_class(alg, window, args) -> tuple:
-    from .cohomology import reduce_cocycle
-
     doc = _read_json(args.file)
     phi = cocycle_from_doc(alg, doc)
-    reduced = reduce_cocycle(alg, phi, window)
+    reduced = _lsv.reduce_cocycle(alg, phi, window)
     payload = {
         "classes": reduced.classes_payload(),
         "residual": reduced.residual_payload(),
@@ -435,25 +402,20 @@ def cmd_cocycle_class(alg, window, args) -> tuple:
 
 
 def cmd_extend(alg, window, args) -> tuple:
-    from .cohomology import central_extend
-    from .parser import parse_element
-
     classes = None
     if args.classes:
         classes = _doc_classes(alg.group, _read_json(args.classes))
-    ext = central_extend(alg, classes)
-    x = parse_element(alg, args.x)
-    y = parse_element(alg, args.y)
+    ext = _lsv.central_extend(alg, classes)
+    x = _lsv.parse_element(alg, args.x)
+    y = _lsv.parse_element(alg, args.y)
     out = str(ext.bracket(x, y))
     return "pass", out, [], out
 
 
 def cmd_iso(alg, window, args) -> tuple:
-    from .automorphisms import iso_test
-
     g1 = GroupData.from_config(_read_json(args.first))
     g2 = GroupData.from_config(_read_json(args.second))
-    a = iso_test(g1, g2)
+    a = _lsv.iso_test(g1, g2)
     if a is None:
         return "fail", "none", [], "none"
     return "pass", str(a), [], str(a)

@@ -111,6 +111,19 @@ def table_operator(alg: LoopAlgebra, table: dict, degree=None) -> Operator:
     return Operator(alg, fn, degree)
 
 
+def _t_coords(group: GroupData, gamma) -> tuple:
+    """The coordinates of gamma on the T-basis; a ShapeError off T."""
+    coords = group.t_coords(Scalar.of(gamma))
+    if coords is None:
+        raise ShapeError(f"{gamma} is not in T")
+    return coords
+
+
+def _additive(group: GroupData, images, gamma, zero):
+    """The additive map on T with the given T-basis images, at gamma."""
+    return sum((c * img for c, img in zip(_t_coords(group, gamma), images) if c), zero)
+
+
 @dataclass(frozen=True)
 class HomToLaurent:
     """Additive map from the index lattice T into Laurent polynomials.
@@ -122,14 +135,7 @@ class HomToLaurent:
     images: tuple
 
     def value(self, group: GroupData, gamma: Scalar) -> LaurentPoly:
-        coords = group.t_coords(Scalar.of(gamma))
-        if coords is None:
-            raise ShapeError(f"{gamma} is not in T")
-        out = LaurentPoly.zero()
-        for c, img in zip(coords, self.images):
-            if c:
-                out = out + c * img
-        return out
+        return _additive(group, self.images, gamma, LaurentPoly.zero())
 
     @staticmethod
     def zero(group: GroupData) -> "HomToLaurent":
@@ -156,14 +162,6 @@ class GAffine:
 
     def __neg__(self):
         return GAffine(-self.u, -self.v)
-
-
-def _shear_terms(a, b, i, j, k) -> tuple:
-    """The shear constraint (b-a) e(a+b, i+j, k) = b e(b, j, k-i) - a e(a, i, k-j).
-
-    Returned as (coefficient, (gamma, i, k)) terms that sum to zero, all on the diagonal k - i - j.
-    """
-    return ((b - a, (a + b, i + j, k)), (-b, (b, j, k - i)), (a, (a, i, k - j)))
 
 
 def GTable(values: dict) -> GAffine:

@@ -6,21 +6,23 @@ differ only in the atom a term multiplies:
 
     sum    :=  ['+'|'-'] term (('+'|'-') term)*
     term   :=  [coeff '*'] atom
+            |  coeff                                   (t^0, in a Laurent polynomial)
     coeff  :=  scalar | '(' scalar ')'
     atom   :=  key                                     (an element)
             |  power                                   (a Laurent polynomial)
     key    :=  ('L'|'M'|'Y') '(' scalar ',' integer ')'
-    power  :=  't' ['^' integer]  |  nothing, for t^0
+    power  :=  't' ['^' integer]
 
 A coeff is a scalar literal; composite literals like 1+sqrt2 must be wrapped
 in parentheses when they multiply something, which is exactly how the
 printers emit them.  Whitespace may stand around the signs, '*', the
 parentheses, ',' and '^'; a key's letter and its '(' must touch, and a
-numeral (digits, '/', ``sqrt<d>``) holds no whitespace.  A power
-term may also leave its coefficient blank, as in ``*t`` or ``()``, which
-reads as 1.  Grammar failures raise ParseError with a position and what was
-expected; membership failures (a Y index outside the coset, say) surface as
-the algebra's own errors, which already name the offending value.
+numeral (digits, '/', ``sqrt<d>``) holds no whitespace.  A coefficient
+is never blank, so ``()``, ``*t`` and ``( )*t^2`` are refused, and a '*'
+needs an atom after it, so ``(2)*`` is refused too.  Grammar failures raise
+ParseError with a position and what was expected; membership failures (a
+Y index outside the coset, say) surface as the algebra's own errors, which
+already name the offending value.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ class _Atom(NamedTuple):
 
     joint: re.Pattern  # where the atom starts: at the term's start, or after its coefficient's '*'
     read: Callable  # (alg, text, offset) -> the atom's value
-    optional: bool  # a term may be a bare coefficient, and a blank coefficient reads as 1
+    optional: bool  # a term may be a bare coefficient, a multiple of the atom read from ""
 
 
 _KEY = _Atom(re.compile(rf"(^|\*)\s*(?={_KEY_START.pattern})"), _key, False)
@@ -174,10 +176,9 @@ def _term(alg: LoopAlgebra, text: str, offset: int, atom: _Atom):
             coeff_text, atom_text = None, text
         else:  # coeff '*' atom
             coeff_text, atom_text = text[: joint.start()], text[joint.end() :]
-    if coeff_text is None or (atom.optional and not coeff_text.strip()):
-        coeff = ONE
-    else:
-        coeff = _scalar(alg, coeff_text, coeff_at)
+    coeff = ONE if coeff_text is None else _scalar(alg, coeff_text, coeff_at)
+    if atom.optional and not atom_text and text.endswith("*"):  # its reader would take the blank for t^0
+        raise ParseError("expected an atom after '*'", position=offset + len(text), expected="t^k")
     return coeff, atom.read(alg, atom_text, offset + len(text) - len(atom_text))
 
 

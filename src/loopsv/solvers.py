@@ -7,15 +7,14 @@ entry points compute, on a finite window, the space of functions g with
 
 once over the group index alone (the loop-diagonal system at loop bound 0),
 and once per loop diagonal with the loop index carried along; their rows
-come from ``derivations._shear_terms``.  Both spaces are expected to
-collapse to the affine family u*index + v; the tests pin that down rather
-than assume it.
+come from ``_shear_terms``, the constraint at one (a, b, i, j).  Both spaces
+are expected to collapse to the affine family u*index + v; the tests pin
+that down rather than assume it.
 """
 
 from __future__ import annotations
 
 from .algebra import Window
-from .derivations import _shear_terms
 from .groups import GroupData
 from .scalars import ZERO, ONE
 
@@ -72,6 +71,14 @@ def g_constraint_space(group: GroupData, window: Window) -> tuple:
     """
     basis, keys = shear_constraint_space(group, Window(window.gamma_height, 0))
     return [{g: v for (g, _), v in vec.items()} for vec in basis], [g for g, _ in keys]
+
+
+def _shear_terms(a, b, i, j, k) -> tuple:
+    """The shear constraint (b-a) e(a+b, i+j, k) = b e(b, j, k-i) - a e(a, i, k-j).
+
+    Returned as (coefficient, (gamma, i, k)) terms that sum to zero, all on the diagonal k - i - j.
+    """
+    return ((b - a, (a + b, i + j, k)), (-b, (b, j, k - i)), (a, (a, i, k - j)))
 
 
 def shear_constraint_space(group: GroupData, window: Window) -> tuple:

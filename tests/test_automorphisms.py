@@ -20,6 +20,7 @@ from loopsv import (
     LoopShift,
     MShear,
     MShearData,
+    ONE,
     Scalar,
     Scale,
     ShapeError,
@@ -164,6 +165,11 @@ class TestWords:
             w = tuple_word(alg, *t1).then(tuple_word(alg, *t2))
             wf = tuple_word(alg, *folded)
             assert operators_agree(w, wf, alg.window_keys(small_window)) is None
+
+    def test_tuple_fold_refuses_a_scale_that_leaves_t(self, group):
+        # the second factor's maps on T are read at tau / 2, and 1/4 is not in T = (1/2)Z
+        with pytest.raises(ShapeError, match="1/4 is not in T"):
+            fold_tuple_params(group, (Scalar(2), (0,), (ONE,), ONE, 1, ONE), (ONE, (1,), (ONE,), ONE, 1, ONE))
 
     def test_conjugated_shear_matches_word_conjugation(self, alg, group, small_window):
         rng = random.Random(47)

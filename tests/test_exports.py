@@ -6,6 +6,7 @@ tests run, so the load checks start fresh interpreters.
 """
 
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -85,15 +86,8 @@ def test_import_loopsv_loads_no_module_of_the_package():
     assert [m for m in loaded_by("import loopsv") if m.startswith("loopsv.")] == []
 
 
-@pytest.mark.parametrize(
-    "argv, never",
-    [
-        # bracket parses its two arguments, so it loads the parser and the Laurent module
-        (["bracket", "L(1,0)", "L(2,3)"], ON_DEMAND[:4]),
-        (["check", "jacobi", "--gamma-height", "1", "--loop-bound", "0"], ON_DEMAND[:6]),
-    ],
-)
-def test_a_command_line_call_loads_only_what_its_subcommand_uses(argv, never):
+def loaded_by_cli(*argv) -> set:
+    """The package modules a fresh ``python -m loopsv`` run of ``argv`` loads; the run must pass."""
     # -X importtime names, on stderr, each module the real entry point loads
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "loopsv", *argv],
@@ -105,4 +99,55 @@ def test_a_command_line_call_loads_only_what_its_subcommand_uses(argv, never):
     assert proc.returncode == 0, proc.stderr
     loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert {"loopsv.cli", "loopsv.algebra"} <= loaded
-    assert sorted(loaded & {f"loopsv.{name}" for name in never}) == []
+    return loaded
+
+
+def never_loaded(loaded: set, never) -> list:
+    return sorted(loaded & {f"loopsv.{name}" for name in never})
+
+
+@pytest.mark.parametrize(
+    "argv, never",
+    [
+        # bracket parses its two arguments, so it loads the parser and the Laurent module
+        (["bracket", "L(1,0)", "L(2,3)"], ON_DEMAND[:4]),
+        (["check", "jacobi", "--gamma-height", "1", "--loop-bound", "0"], ON_DEMAND[:6]),
+    ],
+)
+def test_a_command_line_call_loads_only_what_its_subcommand_uses(argv, never):
+    assert never_loaded(loaded_by_cli(*argv), never) == []
+
+
+DERIVATION = {"rho": "t", "b": "t^2"}
+WORD = [{"scale": "-1"}, {"loop-shift": [1]}]  # no inner generator, so no element to parse
+CLASSES = {"classes": {"1": "2"}}  # no coboundary or table, so no key to parse
+GROUP = {"gamma_generators": ["1"], "s": "1/2"}
+
+
+@pytest.mark.parametrize(
+    "argv, docs, never",
+    [
+        (["check", "derivation"], [DERIVATION], ["automorphisms", "cohomology", "solvers"]),
+        (["decompose-derivation"], [DERIVATION], ["automorphisms", "cohomology", "solvers"]),
+        (["check", "automorphism"], [WORD], ["cohomology", "solvers", "parser"]),
+        (["factor-automorphism"], [WORD], ["cohomology", "solvers", "parser"]),
+        (["check", "cocycle"], [CLASSES], ["automorphisms", "derivations", "solvers", "parser", "laurent"]),
+        (["cocycle-class"], [CLASSES], ["automorphisms", "derivations", "solvers", "parser", "laurent"]),
+        (["extend", "L(2,1)", "L(-2,-1)"], [], ["automorphisms", "derivations", "solvers"]),
+        (["iso"], [GROUP, GROUP], ["cohomology", "solvers", "parser"]),
+    ],
+)
+def test_a_document_call_loads_only_what_its_input_reaches(tmp_path, argv, docs, never):
+    paths = []
+    for n, doc in enumerate(docs):
+        path = tmp_path / f"doc{n}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    loaded = loaded_by_cli(*argv, *paths, "--gamma-height", "2", "--loop-bound", "1")
+    assert never_loaded(loaded, never) == []
+
+
+def test_a_constraint_solve_loads_neither_derivations_nor_laurent():
+    loaded = loaded_by("import loopsv\nloopsv.g_constraint_space(loopsv.GroupData.default(), loopsv.Window(2, 0))")
+    assert "loopsv.solvers" in loaded
+    assert never_loaded(set(loaded), ["derivations", "laurent"]) == []

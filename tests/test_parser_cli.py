@@ -37,9 +37,10 @@ ONE = Scalar(1)
 
 MALFORMED_ELEMENTS = [
     "", "L(1,0", "L(1,0))", "X(1,0)", "2*", "L(1,0) + + L(2,0)", "L(1,0) L(2,0)", "3/2 M(0,3)", "(2)L(1,0)",
+    "()*L(1,0)", "*L(1,0)", "(2)*",
 ]
-# the cases of test_laurent.py::test_parse_errors
-MALFORMED_LAURENT = ["t^x", "2*", "", "(2)t", "t^- 1"]
+# the cases of test_laurent.py::test_parse_errors, then a blank coefficient or a '*' with no atom after it
+MALFORMED_LAURENT = ["t^x", "2*", "", "(2)t", "t^- 1", "()", "( )*t^2", "*t", "1 + *t", "(2)*", "(2) * "]
 
 
 class TestParseElement:
