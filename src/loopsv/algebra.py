@@ -46,15 +46,17 @@ class BasisKey:
 
     ``coords`` are the integer coordinates of the group index over the
     group's T-basis; ``LoopAlgebra.key`` computes them once per key.
+    ``_line`` names the kind and coordinates, whatever the loop index.
     """
 
-    __slots__ = ("kind", "gamma", "loop", "coords", "_hash")
+    __slots__ = ("kind", "gamma", "loop", "coords", "_line", "_hash")
 
     def __init__(self, kind: str, gamma: Scalar, loop: int, coords: tuple):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "loop", loop)
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_line", f"{kind}{coords}")
         p, r, q, d = gamma.parts()
         object.__setattr__(self, "_hash", hash((kind, _nat(p), _nat(r), q, d, _nat(loop))))
 
@@ -86,6 +88,31 @@ class BasisKey:
 
     def __repr__(self):
         return f"BasisKey({str(self)})"
+
+
+class _Line(dict):
+    """The keys of one ``_line`` by loop index, made on first use and kept in ``registry``,
+    the algebra's ``_keys``: bracket indices add within Gamma and s+Gamma, so need no check."""
+
+    __slots__ = ("kind", "gamma", "coords", "registry")
+
+    def __missing__(self, loop: int) -> BasisKey:
+        tag = _tag(self.kind, self.coords, loop)
+        key = self.registry.get(tag)
+        if key is None:
+            key = self.registry[tag] = BasisKey(self.kind, self.gamma, loop, self.coords)
+        self[loop] = key
+        return key
+
+
+class _Part(dict):
+    """The brackets of two lines by summed loop index, each one ``(line[loop], coeff)`` tuple."""
+
+    __slots__ = ("coeff", "line")
+
+    def __missing__(self, loop: int) -> tuple:
+        t = self[loop] = self.line[loop], self.coeff
+        return t
 
 
 class Element(_SparseVector):
@@ -165,8 +192,9 @@ class LoopAlgebra:
         self.group = group
         # _tag(kind, T-coordinates, loop) -> the one key object
         self._keys: dict[tuple, BasisKey] = {}
-        # (kind pair, coordinates, coordinates) -> the bracket's loop-free part
-        self._parts: dict[tuple, tuple | None] = {}
+        # k1._line -> k2._line -> the bracket's _Part, or None when it vanishes
+        self._parts: dict[str, dict] = {}
+        self._lines: dict[str, _Line] = {}
         self._window_cache: dict[Window, list] = {}
         self._table_cache: dict[Window, _SweepTable] = {}
 
@@ -209,27 +237,17 @@ class LoopAlgebra:
         return self._structure(k1, k2)
 
     def _structure(self, k1: BasisKey, k2: BasisKey):
-        tag = (k1.kind + k2.kind, k1.coords, k2.coords)
+        """``structure``: the keys' lines name a ``_Part``, and their summed loop index its bracket."""
         try:
-            part = self._parts[tag]
+            part = self._parts[k1._line][k2._line]
         except KeyError:
-            part = self._parts[tag] = self._loop_free_part(tag[0], k1, k2)
-        if part is None:
-            return None
-        kind, coeff, ncoords, gamma = part
-        loop = k1.loop + k2.loop
-        out = self._keys.get((kind, ncoords, _nat(loop)))
-        if out is None:
-            out = self.key(kind, gamma, loop)
-        return out, coeff
+            part = self._parts.setdefault(k1._line, {})[k2._line] = self._loop_free_part(k1, k2)
+        return None if part is None else part[k1.loop + k2.loop]
 
-    @staticmethod
-    def _loop_free_part(pair: str, k1: BasisKey, k2: BasisKey):
-        """The bracket formula: (kind, coefficient, coordinates, index) of the
-        output, or None when the bracket vanishes.  Loop indices only add.
-
-        The coordinates come as ``_tag`` holds them, each mapped by ``_nat``.
-        """
+    def _loop_free_part(self, k1: BasisKey, k2: BasisKey):
+        """The bracket formula on the two keys' lines, as a ``_Part`` onto the
+        output line, or None when the bracket vanishes.  Loop indices only add."""
+        pair = k1.kind + k2.kind
         if pair in ("MM", "MY", "YM"):
             return None
         if pair == "LL":
@@ -252,8 +270,13 @@ class LoopAlgebra:
             kind = "M"
         if not coeff:
             return None
-        ncoords = tuple(_nat(c1 + c2) for c1, c2 in zip(k1.coords, k2.coords))
-        return kind, coeff, ncoords, k1.gamma + k2.gamma
+        coords = tuple(c1 + c2 for c1, c2 in zip(k1.coords, k2.coords))
+        part, line = _Part(), self._lines.get(f"{kind}{coords}")
+        if line is None:
+            line = self._lines[f"{kind}{coords}"] = _Line()
+            line.kind, line.gamma, line.coords, line.registry = kind, k1.gamma + k2.gamma, coords, self._keys
+        part.coeff, part.line = coeff, line
+        return part
 
     def bracket(self, x: Element, y: Element) -> Element:
         if x.group is not self.group or y.group is not self.group:
@@ -345,37 +368,37 @@ class _SweepTable:
     def __init__(self, alg: LoopAlgebra, window: Window):
         window_keys = alg.window_keys(window)
         self.keys = keys = list(window_keys)
-        self.ids = ids = {key: i for i, key in enumerate(keys)}
-        structure = alg._structure
-
-        def brackets(k1, others) -> list:
-            row = []
-            for k2 in others:
-                t = structure(k1, k2)
-                if t is not None and t[0] not in ids:
-                    self._id(t[0])
-                row.append(t)
-            return row
-
-        raw = [brackets(k1, window_keys) for k1 in window_keys]
-        self.width = len(keys)
-        columns = keys[len(window_keys):]
-        for k1, row in zip(window_keys, raw):
-            row += brackets(k1, columns)
-
-        self.n = len(window_keys)
+        self.ids = {key: i for i, key in enumerate(keys)}
+        self.n = n = len(window_keys)
         self.d = alg.group.field_d
-        self.denom, coeffs = _scaled_rows([[None if t is None else t[1] for t in row] for row in raw], self.d)
-        self.rows = [
-            [None if t is None else (ids[t[0]], *c) for t, c in zip(row, crow)]
-            for row, crow in zip(raw, coeffs)
-        ]
+        structure = alg._structure
+        rows = [[structure(k1, k2) for k2 in window_keys] for k1 in window_keys]
+        self._number(t[0] for row in rows for t in row if t is not None)
+        self.width = len(keys)
+        columns = keys[n:]
+        for k1, row in zip(window_keys, rows):
+            row += [structure(k1, k2) for k2 in columns]
+        # id(bracket) -> bracket, in row order: each is scaled and numbered once into one
+        # shared entry, and ``met`` keeps it alive, so no id names two brackets
+        met = {}
+        for row in rows:
+            met.update(zip(map(id, row), row))
+        met.pop(id(None), None)
+        self.denom, (scaled,) = _scaled_rows([[t[1] for t in met.values()]], self.d)
+        out = self._number(t[0] for t in met.values())
+        entries = {i: (out[id(t[0])], *ab) for (i, t), ab in zip(met.items(), scaled)}
+        entries[id(None)] = None
+        self.rows = [list(map(entries.__getitem__, map(id, row))) for row in rows]
+
+    def _number(self, outs) -> dict:
+        """``{id(key): id}`` over the keys ``outs``; a key the table has not met gets the next id."""
+        outs = list(outs)
+        return {i: self._id(key) for i, key in dict(zip(map(id, outs), outs)).items()}
 
     def _id(self, key: BasisKey) -> int:
         """The id of ``key``; a key the table has not met gets the next one."""
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.keys)
+        i = self.ids.setdefault(key, len(self.keys))
+        if i == len(self.keys):
             self.keys.append(key)
         return i
 

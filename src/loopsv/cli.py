@@ -412,7 +412,7 @@ def cmd_extend(alg, window, args) -> tuple:
     return "pass", out, [], out
 
 
-def cmd_iso(alg, window, args) -> tuple:
+def cmd_iso(args) -> tuple:
     g1 = GroupData.from_config(_read_json(args.first))
     g2 = GroupData.from_config(_read_json(args.second))
     a = _lsv.iso_test(g1, g2)
@@ -511,7 +511,8 @@ def main(argv=None) -> int:
         argv, argparse.Namespace(config=None, gamma_height=None, loop_bound=None, json=False)
     )
     try:
-        status, payload, witnesses, plain = args.handler(*_load_context(args), args)
+        context = () if args.handler is cmd_iso else _load_context(args)  # iso reads only its two files
+        status, payload, witnesses, plain = args.handler(*context, args)
     except LsvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a DomainError means the input or window does not fit the command: usage trouble

@@ -27,6 +27,7 @@ from loopsv import (
     make_phi_k,
 )
 
+from loopsv.algebra import _scaled_rows
 from support import FAULT_WINDOWS, DividedLL, LoopDependentLL, RescaledBasis, WrongLY
 
 HALF = Scalar(Fraction(1, 2))
@@ -297,6 +298,99 @@ def test_table_keys_hash_apart(config, window):
     keys = alg._sweep_table(window).keys
     assert len({hash(key) for key in keys}) == len(keys)
     assert len({hash(tag) for tag in alg._keys}) == len(alg._keys) >= len(keys)
+
+
+def reference_table(alg, window):
+    """(keys, ids, width, denom, rows) as the three-pass build made them: ``_structure``
+    on every (window key, column key) pair, numbering each new output as met, then
+    ``_scaled_rows`` on the coefficients, then the ``(id, a, b)`` entries."""
+    window_keys = alg.window_keys(window)
+    keys = list(window_keys)
+    ids = {key: i for i, key in enumerate(keys)}
+
+    def brackets(k1, others):
+        row = []
+        for k2 in others:
+            t = alg._structure(k1, k2)
+            if t is not None and t[0] not in ids:
+                ids[t[0]] = len(keys)
+                keys.append(t[0])
+            row.append(t)
+        return row
+
+    raw = [brackets(k1, window_keys) for k1 in window_keys]
+    width = len(keys)
+    columns = keys[len(window_keys):]
+    for k1, row in zip(window_keys, raw):
+        row += brackets(k1, columns)
+    denom, coeffs = _scaled_rows([[None if t is None else t[1] for t in row] for row in raw], alg.group.field_d)
+    rows = [
+        [None if t is None else (ids[t[0]], *c) for t, c in zip(row, crow)]
+        for row, crow in zip(raw, coeffs)
+    ]
+    return keys, ids, width, denom, rows
+
+
+TABLE_GROUPS = {
+    **BRACKET_GROUPS,
+    "(1/2)Z, s=1/4": ({"gamma_generators": ["1/2"], "s": "1/4"}, Window(2, 2)),
+    "3Z, s=3/2": ({"gamma_generators": ["3"], "s": "3/2"}, Window(2, 1)),
+}
+
+
+def table_case(faulty, name):
+    """A fresh-algebra maker and the window: the paper's bracket on ``TABLE_GROUPS``,
+    a fault subclass on ``FAULT_WINDOWS``."""
+    if faulty is LoopAlgebra:
+        config, window = TABLE_GROUPS[name]
+        return lambda: LoopAlgebra(GroupData.from_config(config)), window
+    make_group, window = FAULT_WINDOWS[name]
+    return lambda: faulty(make_group()), window
+
+
+@pytest.mark.parametrize(
+    "faulty, name",
+    [(LoopAlgebra, name) for name in sorted(TABLE_GROUPS)]
+    + [(faulty, name) for faulty in (WrongLY, LoopDependentLL, DividedLL, RescaledBasis) for name in sorted(FAULT_WINDOWS)],
+)
+def test_table_matches_three_pass_build(faulty, name):
+    make, window = table_case(faulty, name)
+    if faulty is RescaledBasis and name == "Q":  # its sqrt2 scaling lies outside Q, so no table builds
+        with pytest.raises(ValueError) as want:
+            reference_table(make(), window)
+        with pytest.raises(ValueError) as got:
+            make()._sweep_table(window)
+        assert str(got.value) == str(want.value)
+        return
+    keys, ids, width, denom, rows = reference_table(make(), window)
+    table = make()._sweep_table(window)
+    assert (table.keys, table.ids, table.width, table.denom) == (keys, ids, width, denom)
+    assert table.rows == rows
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GROUPS))
+def test_output_keys_are_the_keys_key_returns(name):
+    config, window = TABLE_GROUPS[name]
+    alg = LoopAlgebra(GroupData.from_config(config))
+    fresh = LoopAlgebra(GroupData.from_config(config))
+    for key in alg._sweep_table(window).keys:
+        assert alg.key(key.kind, key.gamma, key.loop) is key
+        assert fresh.key(key.kind, key.gamma, key.loop) == key
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(sqrt2)", "(1/2)Z, s=1/4"])
+def test_keys_of_another_algebra_bracket_as_its_own(name):
+    config, window = TABLE_GROUPS[name]
+    group = GroupData.from_config(config)
+    for source in (LoopAlgebra(group), LoopAlgebra(GroupData.from_config(config))):
+        alg = LoopAlgebra(group)
+        foreign = source.window_keys(window)
+        got = [alg._structure(k1, k2) for k1 in foreign for k2 in foreign]  # the parts come from foreign keys
+        own = [alg.key(k.kind, k.gamma, k.loop) for k in foreign]
+        want = [alg._structure(k1, k2) for k1 in own for k2 in own]
+        assert any(want) and len(got) == len(want)
+        for t, u in zip(got, want):
+            assert t == u and (t is None or t[0] is u[0])
 
 
 def test_keys_of_equal_groups_are_equal_with_equal_hashes():

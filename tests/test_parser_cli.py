@@ -543,6 +543,13 @@ class TestCliBehavior:
             proc = run_cli("iso", str(first), str(second))
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
 
+    def test_iso_reads_no_config_or_window(self, configs):
+        proc = run_cli(
+            "iso", configs["default.json"], configs["default.json"], "--loop-bound", "x",
+            env_extra={"LSV_CONFIG": "/nonexistent"},
+        )
+        assert (proc.returncode, proc.stdout) == (0, "1\n")
+
     def test_iso_none(self, configs):
         proc = run_cli("iso", configs["default.json"], configs["root2.json"])
         assert proc.returncode == 1
